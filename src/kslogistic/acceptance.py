@@ -35,6 +35,7 @@ from .diagnostics import (
 from .grid import Field, make_grid
 from .harness import run
 from .helmholtz import grad_potential, solve
+from .icfactory import band_limited_noise
 from .params import Params
 from .reference import upper_envelope
 from .scenario import bundled_scenario_names, bundled_scenario_path, load_scenario, scenario_from_dict
@@ -72,24 +73,6 @@ def _verdict(report, check_name: str):
         if v.name == check_name:
             return v
     return None
-
-
-def _smooth_random(g, rng, band: int) -> np.ndarray:
-    """Band-limited real field with unit sup norm."""
-    import scipy.fft as sfft
-
-    white = rng.standard_normal(g.shape)
-    coef = sfft.fftn(white, norm="forward")
-    j = np.rint(np.fft.fftfreq(g.n, d=1.0 / g.n))
-    keep1 = np.abs(j) <= band
-    keep = keep1.reshape([-1] + [1] * (g.dim - 1))
-    for axis in range(1, g.dim):
-        shape = [1] * g.dim
-        shape[axis] = g.n
-        keep = keep & keep1.reshape(shape)
-    vals = sfft.ifftn(np.where(keep, coef, 0.0), norm="forward").real
-    top = np.max(np.abs(vals))
-    return vals / top if top > 0 else vals
 
 
 def crit_elliptic_exactness():
@@ -150,13 +133,13 @@ def crit_operator_bounds():
         div_const = dim / math.sqrt(math.pi)
         for _ in range(count):
             n_fields += 1
-            f = Field(g, _smooth_random(g, rng, band=n // 6))
+            f = Field(g, band_limited_noise(g, rng, band=n // 6))
             fmax = float(np.max(np.abs(f.values)))
             gp = grad_potential(f)
             gmag = np.sqrt(sum(c.values**2 for c in gp)).max()
             worst_grad = max(worst_grad, float(gmag) / (math.sqrt(dim) * fmax))
             w = tuple(
-                Field(g, _smooth_random(g, rng, band=n // 6)) for _ in range(dim)
+                Field(g, band_limited_noise(g, rng, band=n // 6)) for _ in range(dim)
             )
             wmax = float(np.sqrt(sum(c.values**2 for c in w)).max())
             for t in times:

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .grid import Field, Grid
 from .helmholtz import grad_potential
@@ -215,10 +214,20 @@ def estimate_speed(trace: FrontTrace, window: Optional[tuple] = None) -> SpeedEs
         raise ValueError(f"need at least 8 valid samples in window, have {n}")
     t = trace.times[ok]
     r = trace.radii[ok]
-    fit = stats.linregress(t, r)
-    stderr = 0.0 if np.isnan(fit.stderr) else float(fit.stderr)
+    if t.max() == t.min():
+        raise ValueError("cannot fit a speed to samples that share one time")
+    # scipy.stats.linregress's own arithmetic; importing it costs 0.6 s
+    ssxm, ssxym, _, ssym = np.cov(t, r, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        rho = np.nan if ssxym == 0 else 0.0
+    else:
+        rho = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    stderr = float(np.sqrt((1 - rho**2) * ssym / ssxm / (n - 2)))
     return SpeedEstimate(
-        speed=float(fit.slope), stderr=stderr, window=window, n_samples=n
+        speed=float(ssxym / ssxm),
+        stderr=0.0 if math.isnan(stderr) else stderr,
+        window=window,
+        n_samples=n,
     )
 
 

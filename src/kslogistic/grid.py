@@ -13,11 +13,15 @@ Conventions used by every module in this package:
   partner, so a first derivative would break Hermitian symmetry).
 * Dealiasing uses the 2/3 rule: per axis, modes with |j| > n//3 are
   dropped before and after quadratic products.
+* Real fields are transformed internally to the rfftn half-spectrum
+  (last axis keeps j = 0 .. n/2), whose multipliers ``Grid.half`` holds;
+  ``SpectralField``, ``to_spectral`` and ``to_physical`` keep the full layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +48,54 @@ _HERMITIAN_RTOL = 1e-10
 
 class NonFiniteFieldError(ValueError):
     """A field contains NaN or Inf where finite data is required."""
+
+
+def _multipliers(dim: int, n: int, L: float, half: bool) -> tuple:
+    """|k|^2, broadcastable i*k per axis with Nyquist entries zeroed, and
+    the 2/3-rule mask, on the full spectrum or, with ``half``, on the
+    rfftn half-spectrum."""
+    j = np.rint(np.fft.fftfreq(n, d=1.0 / n))
+    last = np.abs(j[: n // 2 + 1]) if half else j
+    modes = np.meshgrid(*([j] * (dim - 1)), last, indexing="ij", sparse=True)
+    k = [(np.pi / L) * m for m in modes]
+    ik = tuple(np.where(np.abs(m) == n // 2, 0.0, 1j * ka) for m, ka in zip(modes, k))
+    keep = np.all(np.broadcast_arrays(*(np.abs(m) <= n // 3 for m in modes)), axis=0)
+    return sum(ka**2 for ka in k), ik, keep
+
+
+@dataclass(frozen=True)
+class HalfSpectrum:
+    """Fourier multipliers on the rfftn half-spectrum of a grid; per-axis
+    ones are stacked along a leading axis of length dim.
+
+    k2 : |k|^2
+    ik : i*k per axis, Nyquist entries zeroed
+    mask : 1.0 on modes kept by the 2/3 rule, else 0.0
+    resolvent : 1/(1 + |k|^2), the multiplier of (I - lap)^(-1)
+    grad_resolvent : i*k/(1 + |k|^2) per axis
+    masked_grad_resolvent : grad_resolvent times mask
+    """
+
+    k2: np.ndarray
+    ik: np.ndarray
+    mask: np.ndarray
+    resolvent: np.ndarray
+    grad_resolvent: np.ndarray
+    masked_grad_resolvent: np.ndarray
+
+    def __post_init__(self) -> None:
+        # equal grids share one instance, so no caller may write to it
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
+
+@lru_cache(maxsize=16)
+def _half_spectrum(dim: int, n: int, L: float) -> HalfSpectrum:
+    k2, ik, keep = _multipliers(dim, n, L, half=True)
+    ik = np.stack(np.broadcast_arrays(*ik))
+    mask = keep.astype(np.float64)
+    grad_resolvent = ik / (1.0 + k2)
+    return HalfSpectrum(k2, ik, mask, 1.0 / (1.0 + k2), grad_resolvent, grad_resolvent * mask)
 
 
 @dataclass(frozen=True)
@@ -97,37 +149,19 @@ class Grid:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
         L = float(self.half_width)
-        n = self.n
-        h = 2.0 * L / n
-        # integer mode numbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
-        j = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
-        k1 = (np.pi / L) * j
-        kdiff = k1.copy()
-        kdiff[n // 2] = 0.0  # Nyquist dropped for odd derivatives
-        keep = np.abs(j) <= n // 3
-
-        axes = tuple(-L + h * np.arange(n) for _ in range(self.dim))
-        wavenumbers = tuple(k1.copy() for _ in range(self.dim))
-
-        def along(axis: int, vec: np.ndarray) -> np.ndarray:
-            shape = [1] * self.dim
-            shape[axis] = n
-            return vec.reshape(shape)
-
-        k2 = sum(along(a, k1) ** 2 for a in range(self.dim))
-        k2 = np.ascontiguousarray(np.broadcast_to(k2, (n,) * self.dim))
-        ik = tuple(1j * along(a, kdiff) for a in range(self.dim))
-        mask = along(0, keep)
-        for a in range(1, self.dim):
-            mask = mask & along(a, keep)
-        mask = np.ascontiguousarray(np.broadcast_to(mask, (n,) * self.dim))
-
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "wavenumbers", wavenumbers)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "ik", ik)
-        object.__setattr__(self, "dealias_mask", mask)
+        h = 2.0 * L / self.n
+        k2, ik, keep = _multipliers(self.dim, self.n, L, half=False)
+        # mode numbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
+        k1 = (np.pi / L) * np.rint(np.fft.fftfreq(self.n, d=1.0 / self.n))
+        for name, value in (
+            ("h", h),
+            ("axes", tuple(-L + h * np.arange(self.n) for _ in range(self.dim))),
+            ("wavenumbers", tuple(k1.copy() for _ in range(self.dim))),
+            ("k2", k2),
+            ("ik", ik),
+            ("dealias_mask", keep),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple:
@@ -137,6 +171,29 @@ class Grid:
     def cell_volume(self) -> float:
         """Quadrature weight h**dim of one grid cell."""
         return self.h**self.dim
+
+    @property
+    def half(self) -> HalfSpectrum:
+        """Multipliers on the half-spectrum layout, shared by equal grids."""
+        return _half_spectrum(self.dim, self.n, float(self.half_width))
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Forward real transform over the last dim axes (leading axes
+        batch), normalized like ``to_spectral``."""
+        if self.dim == 1:
+            return sfft.rfft(values, norm="forward")
+        return sfft.rfft2(values, norm="forward")
+
+    def irfft(self, coef: np.ndarray) -> np.ndarray:
+        """Inverse of ``rfft``, batched over leading axes the same way."""
+        if self.dim == 1:
+            return sfft.irfft(coef, n=self.n, norm="forward")
+        return sfft.irfft2(coef, s=self.shape, norm="forward")
+
+    def apply(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+        """Real field (or batch) times a half-spectrum multiplier (or a
+        stack of them), back in physical space."""
+        return self.irfft(multiplier * self.rfft(values))
 
 
 @dataclass(frozen=True)
@@ -206,37 +263,39 @@ def to_physical(s: SpectralField) -> Field:
     return Field(s.grid, np.ascontiguousarray(w.real))
 
 
-def _spectral_of(f: Field | SpectralField) -> tuple[Grid, np.ndarray]:
-    if isinstance(f, Field):
-        return f.grid, sfft.fftn(f.values, norm="forward")
-    return f.grid, f.coefficients
-
-
 def gradient(f: Field | SpectralField) -> tuple[Field, ...]:
     """Spectral gradient, one Field per axis.  Nyquist modes are dropped."""
-    g, fh = _spectral_of(f)
-    out = []
-    for a in range(g.dim):
-        out.append(to_physical(SpectralField(g, g.ik[a] * fh)))
-    return tuple(out)
+    g = f.grid
+    if isinstance(f, SpectralField):
+        return tuple(
+            to_physical(SpectralField(g, g.ik[a] * f.coefficients)) for a in range(g.dim)
+        )
+    return tuple(Field(g, c) for c in g.apply(f.values, g.half.ik))
 
 
 def divergence(w: Sequence[Field]) -> Field:
     """Spectral divergence of a vector field given as per-axis components."""
+    g, coef = divergence_hat(w)
+    return Field(g, g.irfft(coef))
+
+
+def divergence_hat(w: Sequence[Field]) -> tuple[Grid, np.ndarray]:
+    """The grid and the half-spectrum of div w, all components
+    transformed in one call."""
     if len(w) == 0:
         raise ValueError("divergence needs at least one component")
     g = w[0].grid
     if len(w) != g.dim:
         raise ValueError(f"expected {g.dim} components, got {len(w)}")
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for a, comp in enumerate(w):
-        if comp.grid is not g and comp.grid != g:
-            raise ValueError("components live on different grids")
-        acc += g.ik[a] * sfft.fftn(comp.values, norm="forward")
-    return to_physical(SpectralField(g, acc))
+    if any(comp.grid is not g and comp.grid != g for comp in w):
+        raise ValueError("components live on different grids")
+    wh = g.rfft(np.stack([comp.values for comp in w]))
+    return g, np.sum(g.half.ik * wh, axis=0)
 
 
 def laplacian(f: Field | SpectralField) -> Field:
     """Spectral Laplacian (multiplier -|k|^2, Nyquist retained)."""
-    g, fh = _spectral_of(f)
-    return to_physical(SpectralField(g, -g.k2 * fh))
+    g = f.grid
+    if isinstance(f, SpectralField):
+        return to_physical(SpectralField(g, -g.k2 * f.coefficients))
+    return Field(g, g.apply(f.values, -g.half.k2))

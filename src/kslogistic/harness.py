@@ -709,18 +709,19 @@ def emit_plot_data(report: Report, plots_dir, force: bool = False) -> dict:
     snapshot_files = []
     for k, snap in enumerate(report.snapshots):
         fname = f"snapshot_{k:04d}.dat"
-        u = np.asarray(snap["u"])
-        v = np.asarray(snap["v"])
-        lines = [f"# t = {snap['t']!r}"]
+        # Python floats: their repr parses back to the same double
+        u = np.asarray(snap["u"]).tolist()
+        v = np.asarray(snap["v"]).tolist()
+        xs = g.axes[0].tolist()
+        lines = [f"# t = {float(snap['t'])!r}"]
         if dim == 1:
             lines.append("# x u v")
-            for x, uu, vv in zip(g.axes[0], u, v):
-                lines.append(f"{x!r} {uu!r} {vv!r}")
+            lines += [f"{x!r} {uu!r} {vv!r}" for x, uu, vv in zip(xs, u, v)]
         else:
             lines.append("# x y u v")
-            for i, x in enumerate(g.axes[0]):
-                for jj, y in enumerate(g.axes[1]):
-                    lines.append(f"{x!r} {y!r} {u[i, jj]!r} {v[i, jj]!r}")
+            ys = g.axes[1].tolist()
+            for x, urow, vrow in zip(xs, u, v):
+                lines += [f"{x!r} {y!r} {uu!r} {vv!r}" for y, uu, vv in zip(ys, urow, vrow)]
                 lines.append("")
         (plots_dir / fname).write_text("\n".join(lines) + "\n")
         snapshot_files.append({"t": snap["t"], "file": fname})

@@ -12,24 +12,19 @@ uniform bound ||grad v||_inf <= sqrt(dim) * ||u||_inf.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import fft as sfft
-
-from .grid import Field, SpectralField, to_physical, to_spectral
+from .grid import Field, require_finite
 
 __all__ = ["solve", "grad_potential"]
 
 
 def solve(u: Field) -> Field:
     """Apply (I - lap)^(-1) to u."""
-    s = to_spectral(u)
-    vh = s.coefficients / (1.0 + u.grid.k2)
-    return to_physical(SpectralField(u.grid, vh))
+    require_finite(u)
+    g = u.grid
+    return Field(g, g.apply(u.values, g.half.resolvent))
 
 
 def grad_potential(u: Field) -> tuple[Field, ...]:
     """Components of grad (I - lap)^(-1) u.  Nyquist modes are dropped."""
     g = u.grid
-    uh = sfft.fftn(u.values, norm="forward")
-    vh = uh / (1.0 + g.k2)
-    return tuple(to_physical(SpectralField(g, g.ik[a] * vh)) for a in range(g.dim))
+    return tuple(Field(g, c) for c in g.apply(u.values, g.half.grad_resolvent))

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import fft as sfft
 
 from .grid import Field, Grid
 
-__all__ = ["ICSpec", "realize", "KINDS"]
+__all__ = ["ICSpec", "realize", "band_limited_noise", "KINDS"]
 
 KINDS = (
     "constant",
@@ -108,6 +107,19 @@ def _support_must_fit(spec: ICSpec, grid: Grid, center: tuple, extent: float, gu
             )
 
 
+def band_limited_noise(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray:
+    """White noise drawn from rng, keeping per-axis modes |j| <= band,
+    scaled to unit sup norm."""
+    white = rng.standard_normal(grid.shape)
+    j = np.abs(np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n)))
+    keep = j[: grid.n // 2 + 1] <= band
+    if grid.dim == 2:
+        keep = (j[:, None] <= band) & keep
+    vals = grid.apply(white, keep)
+    top = np.max(np.abs(vals))
+    return vals / top if top > 0 else vals
+
+
 def realize(spec: ICSpec, grid: Grid, guard: float = 0.1) -> Field:
     """Sample the spec on the grid.
 
@@ -129,17 +141,7 @@ def realize(spec: ICSpec, grid: Grid, guard: float = 0.1) -> Field:
             _dist(grid, center), spec.amplitude, spec.radius, spec.width
         )
     elif spec.kind == "positive_random":
-        rng = np.random.default_rng(spec.seed)
-        white = rng.standard_normal(grid.shape)
-        coef = sfft.fftn(white, norm="forward")
-        j = np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n))
-        keep1 = np.abs(j) <= _NOISE_BAND
-        keep = keep1.reshape([-1] + [1] * (grid.dim - 1))
-        for axis in range(1, grid.dim):
-            shape = [1] * grid.dim
-            shape[axis] = grid.n
-            keep = keep & keep1.reshape(shape)
-        noise = sfft.ifftn(np.where(keep, coef, 0.0), norm="forward").real
+        noise = band_limited_noise(grid, np.random.default_rng(spec.seed), _NOISE_BAND)
         noise -= noise.min()
         top = noise.max()
         if top > 0:

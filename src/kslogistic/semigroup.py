@@ -17,9 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sfft
 
-from .grid import Field, SpectralField, to_physical
+from .grid import Field, divergence_hat
 
 __all__ = ["heat_kernel", "apply_T", "apply_T_div"]
 
@@ -49,20 +48,12 @@ def apply_T(t: float, f: Field) -> Field:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     g = f.grid
-    fh = sfft.fftn(f.values, norm="forward")
-    return to_physical(SpectralField(g, np.exp(-t * (1.0 + g.k2)) * fh))
+    return Field(g, g.apply(f.values, np.exp(-t * (1.0 + g.half.k2))))
 
 
 def apply_T_div(t: float, w: Sequence[Field]) -> Field:
     """Apply T(t) to div w in one spectral pass.  Needs t > 0."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    if len(w) == 0:
-        raise ValueError("empty vector field")
-    g = w[0].grid
-    if len(w) != g.dim:
-        raise ValueError(f"expected {g.dim} components, got {len(w)}")
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for a, comp in enumerate(w):
-        acc += g.ik[a] * sfft.fftn(comp.values, norm="forward")
-    return to_physical(SpectralField(g, np.exp(-t * (1.0 + g.k2)) * acc))
+    g, coef = divergence_hat(w)
+    return Field(g, g.irfft(np.exp(-t * (1.0 + g.half.k2)) * coef))

@@ -25,16 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
-from .grid import (
-    Field,
-    Grid,
-    NonFiniteFieldError,
-    SpectralField,
-    require_finite,
-    to_physical,
-)
+from .grid import Field, Grid, NonFiniteFieldError
+from .helmholtz import solve
 from .params import Params
 
 __all__ = [
@@ -104,25 +97,35 @@ class StepControl:
         return StepControl(self.dt, self.t_end, self.dealias, neg, blow)
 
 
-@dataclass(frozen=True)
 class State:
-    """Solution snapshot.  v is always exactly the resolvent of u."""
+    """Solution snapshot.  v is always exactly the resolvent of u; when
+    not given, it is formed on first read.  ``step`` also passes uh, the
+    half-spectrum of u that the next step starts from, and makes the
+    state's arrays read-only so that uh stays in step with u."""
 
-    t: float
-    u: Field
-    v: Field
-    step_count: int
+    def __init__(self, t: float, u: Field, v: Field | None = None, step_count: int = 0, uh=None):
+        self.t, self.u, self.step_count, self._v, self._uh = t, u, step_count, v, uh
+
+    @property
+    def v(self) -> Field:
+        if self._v is None and self._uh is None:
+            self._v = solve(self.u)
+        elif self._v is None:
+            g = self.u.grid
+            vals = g.irfft(self._uh * g.half.resolvent)
+            vals.flags.writeable = False
+            self._v = Field(g, vals)
+        return self._v
 
 
 def initial_state(u0: Field) -> State:
-    from .helmholtz import solve
-
-    return State(t=0.0, u=u0, v=solve(u0), step_count=0)
+    return State(t=0.0, u=u0)
 
 
 @lru_cache(maxsize=8)
 def _propagators(grid: Grid, dt: float):
-    z = -dt * (1.0 + grid.k2)
+    """E = exp(-dt (1 + |k|^2)), dt phi1 and half of it, on the half-spectrum."""
+    z = -dt * (1.0 + grid.half.k2)
     E = np.exp(z)
     phi1 = np.empty_like(z)
     small = np.abs(z) < 1e-4
@@ -131,64 +134,74 @@ def _propagators(grid: Grid, dt: float):
     phi1[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
     zb = z[~small]
     phi1[~small] = np.expm1(zb) / zb
-    return E, dt * phi1
+    return E, dt * phi1, 0.5 * dt * phi1
+
+
+@lru_cache(maxsize=8)
+def _product_stacks(grid: Grid, b: float, chi: float, dealias: bool):
+    """What _rhs_hat multiplies before its inverse transform (u, then
+    grad v if chi != 0) and after its forward transform (b on u^2, then
+    chi i k_i on each flux), 2/3-masked with dealias."""
+    hs = grid.half
+    mask = hs.mask if dealias else np.ones_like(hs.mask)
+    synth = [mask]
+    weights = [b * mask]
+    if chi != 0.0:
+        synth += list(hs.masked_grad_resolvent if dealias else hs.grad_resolvent)
+        weights += list(chi * mask * hs.ik)
+    return np.stack(synth), np.stack(weights)
 
 
 def _rhs_hat(uh: np.ndarray, g: Grid, p: Params, dealias: bool) -> np.ndarray:
-    """Spectral coefficients of F(u) = -chi div(u grad v) + (a+1) u - b u^2."""
-    mask = g.dealias_mask if dealias else None
-    vh = uh / (1.0 + g.k2)
-    uh_t = uh * mask if dealias else uh
-    ud = sfft.ifftn(uh_t, norm="forward").real
-    out = (p.a + 1.0) * uh
-    if p.chi != 0.0:
-        chem = np.zeros_like(uh)
-        for a_ in range(g.dim):
-            gvh = g.ik[a_] * vh
-            if dealias:
-                gvh = gvh * mask
-            gv = sfft.ifftn(gvh, norm="forward").real
-            fluxh = sfft.fftn(ud * gv, norm="forward")
-            if dealias:
-                fluxh = fluxh * mask
-            chem += g.ik[a_] * fluxh
-        out = out - p.chi * chem
-    sqh = sfft.fftn(ud * ud, norm="forward")
-    if dealias:
-        sqh = sqh * mask
-    return out - p.b * sqh
+    """Half-spectrum of F(u) = -chi div(u grad v) + (a+1) u - b u^2.
+
+    u and, when chi != 0, the components of grad v go to physical space
+    in one batched inverse transform; u^2 and the fluxes u dv/dx_i come
+    back in one batched forward transform.  With dealias, factors and
+    products are both truncated by the 2/3 rule.
+    """
+    synth, weights = _product_stacks(g, p.b, p.chi, dealias)
+    phys = g.irfft(synth * uh)
+    prods = g.rfft(phys * phys[0])
+    return (p.a + 1.0) * uh - np.sum(weights * prods, axis=0)
 
 
 def nonlinearity(u: Field, p: Params, dealias: bool = True) -> Field:
     """F(u) as a physical field, v solved internally."""
-    uh = sfft.fftn(u.values, norm="forward")
-    return to_physical(SpectralField(u.grid, _rhs_hat(uh, u.grid, p, dealias)))
+    g = u.grid
+    return Field(g, g.irfft(_rhs_hat(g.rfft(u.values), g, p, dealias)))
 
 
 def step(state: State, p: Params, control: StepControl) -> State:
-    """Advance one dt.  Budgets must already be resolved (not None)."""
+    """Advance one dt.  Budgets must already be resolved (not None).
+
+    The update runs on the half-spectrum; the one inverse transform of
+    the new u feeds a single min and max, which decide the aborts in
+    order: non-finite, negativity, blow-up.
+    """
     g = state.u.grid
     if p.dim != g.dim:
         raise ValueError(f"params.dim={p.dim} does not match grid dim {g.dim}")
     if control.negativity_budget is None or control.blowup_threshold is None:
         control = control.resolved(state.u, p)
-    require_finite(state.u, context=f"state at t={state.t:.6g}")
-    dt = control.dt
-    E, P = _propagators(g, dt)
+    dt, dealias = control.dt, control.dealias
+    E, P, half_P = _propagators(g, dt)
 
-    uh = sfft.fftn(state.u.values, norm="forward")
-    fn = _rhs_hat(uh, g, p, control.dealias)
-    pred = E * uh + P * fn
-    fp = _rhs_hat(pred, g, p, control.dealias)
-    newh = E * uh + 0.5 * P * (fn + fp)
+    uh = state._uh if state._uh is not None else g.rfft(state.u.values)
+    fn = _rhs_hat(uh, g, p, dealias)
+    Eu = E * uh
+    fp = _rhs_hat(Eu + P * fn, g, p, dealias)
+    newh = Eu + half_P * (fn + fp)
 
     t_new = state.t + dt
-    u_new = sfft.ifftn(newh, norm="forward").real
-    if not np.all(np.isfinite(u_new)):
+    u_new = g.irfft(newh)
+    # min and max propagate NaN and reach any infinity
+    lo = float(u_new.min())
+    hi = float(u_new.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteFieldError(
             f"solution became non-finite at t={t_new:.6g} (step {state.step_count + 1})"
         )
-    lo = float(u_new.min())
     if lo < -control.negativity_budget:
         raise NegativityError(
             f"minimum {lo:.3e} fell below the negativity budget "
@@ -197,21 +210,16 @@ def step(state: State, p: Params, control: StepControl) -> State:
             t=t_new,
             value=lo,
         )
-    hi = float(np.max(np.abs(u_new)))
-    if hi > control.blowup_threshold:
+    amp = max(hi, -lo)
+    if amp > control.blowup_threshold:
         raise BlowupError(
-            f"amplitude {hi:.3e} crossed the blow-up threshold "
+            f"amplitude {amp:.3e} crossed the blow-up threshold "
             f"{control.blowup_threshold:.3e} at t={t_new:.6g}",
             t=t_new,
-            value=hi,
+            value=amp,
         )
-    v_new = sfft.ifftn(newh / (1.0 + g.k2), norm="forward").real
-    return State(
-        t=t_new,
-        u=Field(g, np.ascontiguousarray(u_new)),
-        v=Field(g, np.ascontiguousarray(v_new)),
-        step_count=state.step_count + 1,
-    )
+    u_new.flags.writeable = False
+    return State(t=t_new, u=Field(g, u_new), step_count=state.step_count + 1, uh=newh)
 
 
 def stability_warnings(state: State, p: Params, control: StepControl) -> list[str]:

@@ -127,6 +127,40 @@ def test_estimate_speed_exact_affine():
     assert est.n_samples == 21
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_estimate_speed_matches_scipy_linregress(noise):
+    from scipy.stats import linregress
+
+    t = np.linspace(0.0, 19.0, 77)
+    r = 5.0 + 1.87 * t + noise * np.random.default_rng(5).standard_normal(77)
+    est = estimate_speed(FrontTrace(t, r, np.ones(77, bool), 0.5, 0.1), window=(0.0, 19.0))
+    fit = linregress(t, r)
+    assert est.speed == fit.slope
+    assert est.stderr == (0.0 if np.isnan(fit.stderr) else fit.stderr)
+
+
+def test_estimate_speed_zero_stderr_on_flat_radius():
+    t = np.linspace(0.0, 10.0, 21)
+    est = estimate_speed(FrontTrace(t, np.full(21, 3.0), np.ones(21, bool), 0.5, 0.1))
+    assert est.speed == 0.0 and est.stderr == 0.0
+
+
+def test_import_does_not_load_scipy_stats():
+    import os
+    import subprocess
+    import sys
+
+    import kslogistic
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kslogistic.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, kslogistic; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_estimate_speed_default_window_is_late_half():
     t = np.linspace(0, 10, 21)
     r = np.where(t < 5, 0.0, 2.0 * t)  # early junk, clean late slope

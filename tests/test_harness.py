@@ -279,6 +279,27 @@ class TestOutputs:
         with pytest.raises(HarnessError, match="force"):
             emit_plot_data(rep, tmp_path)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {},
+            {
+                "grid": {"dim": 2, "n": 16, "half_width": 6.0},
+                "control": {"dt": 0.02, "t_end": 0.4},
+            },
+        ],
+    )
+    def test_snapshot_tables_parse_back_exactly(self, tmp_path, patch):
+        sc = tiny(diagnostics={"sample_interval": 0.1, "snapshot_every": 2}, **patch)
+        rep = run(sc)
+        manifest = emit_plot_data(rep, tmp_path)
+        dim, n = sc.grid.dim, sc.grid.n
+        for snap, entry in zip(rep.snapshots, manifest["snapshot_files"]):
+            table = np.loadtxt(tmp_path / entry["file"])
+            assert table.shape == (n**dim, dim + 2)
+            assert np.array_equal(table[:, dim], np.ravel(snap["u"]))
+            assert np.array_equal(table[:, dim + 1], np.ravel(snap["v"]))
+
 
 class TestSweep:
     def test_rows_and_csv(self, tmp_path):

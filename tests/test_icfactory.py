@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from kslogistic.diagnostics import lp_norm
 from kslogistic.grid import make_grid, to_spectral
-from kslogistic.icfactory import ICSpec, realize
+from kslogistic.icfactory import ICSpec, band_limited_noise, realize
+
+from oracles import full_fft_band_noise
 
 
 def test_constant_field():
@@ -85,6 +87,15 @@ def test_positive_random_is_seed_deterministic():
     assert np.array_equal(f1.values, f2.values)
     other = realize(ICSpec(kind="positive_random", amplitude=0.5, floor=0.25, seed=4), g)
     assert not np.array_equal(f1.values, other.values)
+
+
+@pytest.mark.parametrize("dim, n, band", [(1, 256, 8), (1, 96, 16), (2, 32, 8), (2, 48, 8)])
+def test_band_limited_noise_equals_full_fft_construction(dim, n, band):
+    g = make_grid(dim, n, 5.0)
+    got = band_limited_noise(g, np.random.default_rng(17), band)
+    ref = full_fft_band_noise(g, np.random.default_rng(17), band)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+    assert np.max(np.abs(got)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_constant_plus_bump_levels():

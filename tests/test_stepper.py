@@ -9,6 +9,7 @@ from kslogistic.reference import logistic_exact
 from kslogistic.stepper import (
     BlowupError,
     NegativityError,
+    State,
     StepControl,
     initial_state,
     nonlinearity,
@@ -16,7 +17,7 @@ from kslogistic.stepper import (
     step,
 )
 
-from oracles import rk4_reaction_diffusion
+from oracles import full_fft_step, rk4_reaction_diffusion
 
 
 def gaussian_ic(grid, amp=1.2, width=1.5):
@@ -209,3 +210,150 @@ def test_dim_mismatch_rejected():
     p = Params(chi=0.0, a=1.0, b=1.0, dim=2)
     with pytest.raises(ValueError, match="dim"):
         step(s, p, StepControl(dt=0.01, t_end=1.0).resolved(s.u, p))
+
+
+# -- the half-spectrum stepper against the full complex-FFT scheme --------
+
+
+def _initial(dim, n, L):
+    g = make_grid(dim, n, L)
+    r2 = sum(m**2 for m in np.meshgrid(*g.axes, indexing="ij"))
+    return g, Field(g, 1.2 * np.exp(-r2 / 4.0) + 0.05)
+
+
+@pytest.mark.parametrize(
+    "dim, n, chi, dealias",
+    [
+        (1, 128, 0.5, True),
+        (1, 128, 0.5, False),
+        (1, 128, 0.0, True),
+        (1, 128, 0.0, False),
+        (2, 32, 0.4, True),
+        (2, 32, 0.4, False),
+    ],
+)
+def test_matches_full_fft_scheme_over_200_steps(dim, n, chi, dealias):
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=chi, a=1.0, b=1.0, dim=dim)
+    dt = 0.01
+    s = initial_state(u0)
+    c = StepControl(dt=dt, t_end=2.0, dealias=dealias).resolved(u0, p)
+    ref = u0.values
+    for _ in range(200):
+        s = step(s, p, c)
+        ref = full_fft_step(ref, g, p, dt, dealias)
+    amp = float(np.max(np.abs(ref)))
+    assert np.max(np.abs(s.u.values - ref)) <= 1e-12 * (1.0 + amp)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+def test_v_after_a_step_is_resolvent_of_u(dim, n):
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
+    s = step(initial_state(u0), p, StepControl(dt=0.01, t_end=1.0).resolved(u0, p))
+    assert np.max(np.abs(s.v.values - solve(s.u).values)) <= 1e-14
+
+
+def test_stepped_state_is_read_only():
+    g, u0 = _initial(1, 64, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    s = step(initial_state(u0), p, StepControl(dt=0.01, t_end=1.0).resolved(u0, p))
+    with pytest.raises(ValueError):
+        s.u.values[0] = 1.0
+    with pytest.raises(ValueError):
+        s.v.values[0] = 1.0
+
+
+# budgets that any nonzero value crosses
+_TIGHT = dict(dt=0.01, t_end=1.0, negativity_budget=1e-300, blowup_threshold=1e-300)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_directly_built_state_rejected(bad):
+    g, u0 = _initial(1, 64, 8.0)
+    vals = u0.values.copy()
+    vals[7] = bad
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    with pytest.raises(NonFiniteFieldError):
+        step(State(t=0.0, u=Field(g, vals), v=u0, step_count=0), p, StepControl(**_TIGHT))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_mid_run_rejected(bad):
+    g, u0 = _initial(1, 64, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    s = initial_state(u0)
+    c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
+    for _ in range(10):
+        s = step(s, p, c)
+    # corrupt the carried spectrum the next step starts from
+    s._uh = s._uh.copy()
+    s._uh[0] = bad
+    with pytest.raises(NonFiniteFieldError, match="step 11"):
+        step(s, p, StepControl(**_TIGHT))
+
+
+def test_non_finite_overflow_mid_run_rejected():
+    # unchecked exponential growth overflows on the eighth step; neither
+    # budget can fire on a finite value before that
+    g = make_grid(1, 32, 5.0)
+    p = Params(chi=0.3, a=700.0, b=1e-9, dim=1)
+    big = np.finfo(float).max
+    s = initial_state(Field(g, np.ones(32)))
+    c = StepControl(dt=0.1, t_end=10.0, negativity_budget=big, blowup_threshold=big)
+    with pytest.raises(NonFiniteFieldError, match="step 8"), np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            s = step(s, p, c)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infinities_in_new_u_raise_before_budget_checks():
+    # two modes above the 2/3 cutoff stay out of the products, so the new
+    # u overflows to +inf and -inf at some points without turning NaN;
+    # either budget check would fire first if it ran before finiteness
+    g, u0 = _initial(1, 64, 8.0)
+    uh = g.rfft(u0.values)
+    uh[29] = uh[30] = 8e307
+    p = Params(chi=0.5, a=0.0, b=1.0, dim=1)
+    with pytest.raises(NonFiniteFieldError, match="step 1"):
+        step(State(t=0.0, u=u0, uh=uh), p, StepControl(**dict(_TIGHT, dt=1e-3)))
+
+
+_BATCH_AXES = {"rfft": 1, "irfft": 1, "fft": 1, "ifft": 1, "rfft2": 2, "irfft2": 2, "fft2": 2, "ifft2": 2}
+
+
+def _count_transforms(monkeypatch):
+    """Wrap every scipy.fft entry point; record (name, transforms) per
+    call, a batched call counting one transform per batch entry."""
+    import scipy.fft
+
+    calls = []
+    for name in _BATCH_AXES.keys() | {"fftn", "ifftn", "rfftn", "irfftn"}:
+        original = getattr(scipy.fft, name)
+
+        def counted(x, *args, _name=name, _original=original, **kwargs):
+            axes = _BATCH_AXES.get(_name, np.ndim(x))
+            calls.append((_name, int(np.prod(np.shape(x)[: np.ndim(x) - axes]))))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim, n, expect", [(1, 128, 9), (2, 32, 13)])
+def test_transforms_per_step_with_chemotaxis(monkeypatch, dim, n, expect):
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
+    c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
+    s = step(initial_state(u0), p, c)  # the first step also transforms u0
+    calls = _count_transforms(monkeypatch)
+    s = step(s, p, c)
+    assert sum(k for _, k in calls) == expect
+    assert all(name.startswith(("rfft", "irfft")) for name, _ in calls)
+    assert len(calls) == 5
+    calls.clear()
+    s.v  # v is formed on first read, with one more inverse transform
+    s.v
+    assert calls == [("irfft" if dim == 1 else "irfft2", 1)]
