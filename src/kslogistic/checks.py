@@ -1,0 +1,379 @@
+"""Run checks, one self-contained unit each.
+
+A unit is a class with a parameter schema (parameter -> default, or
+REQUIRED), an optional ``observe(t, u, v, run)`` that the harness calls
+once per sample, and a ``verdict(run)``.  The harness makes one
+instance per configured check and run, so a check's state lives exactly
+as long as the run it watches.  ``run`` is the run's ``RunRecord``: the
+base series, the far-field scan, the speed fit, the events and the
+abort.
+
+Checks carry two flags.  passed is the measurement outcome; asserted
+says whether the regime hypothesis behind the check holds, so a failed
+unasserted check is information, not an error.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Optional
+
+import numpy as np
+
+from .diagnostics import (
+    CheckResult,
+    TimeSeries,
+    _radius_mesh,
+    boundary_guard,
+    check_lr_growth,
+    lp_norm,
+    sandwich_check,
+)
+from .reference import RegimeReport, upper_envelope
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
+
+__all__ = ["CHECKS", "REQUIRED", "Check", "CheckVerdict", "RunRecord"]
+
+#: schema marker for a parameter without a default
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class CheckVerdict:
+    name: str
+    passed: bool
+    asserted: bool
+    margin: float
+    detail: str = ""
+
+    def __post_init__(self) -> None:
+        # numpy scalars in, plain JSON-ready values out
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "asserted", bool(self.asserted))
+        object.__setattr__(self, "margin", float(self.margin))
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "asserted": self.asserted,
+            "margin": self.margin,
+            "detail": self.detail,
+        }
+
+
+@dataclass
+class RunRecord:
+    """What a run has measured so far.  series maps a column name to
+    one value per sample; scan is (t, CstarScan) of the last usable
+    far-field scan; speed and speed_error are filled after the run."""
+
+    scenario: Scenario
+    regime: RegimeReport
+    series: dict
+    times: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+    scan: Optional[tuple] = None
+    speed: Optional[dict] = None
+    speed_error: Optional[str] = None
+    abort: Optional[dict] = None
+
+    @property
+    def params(self):
+        return self.scenario.params
+
+
+class Check:
+    """Base unit: subclasses set name and schema and define verdict."""
+
+    name = ""
+    schema: dict = {}
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+
+    def observe(self, t: float, u, v, run: RunRecord) -> None:
+        """Called once per sample, after the base series are recorded."""
+
+    def verdict(self, run: RunRecord) -> CheckVerdict:
+        raise NotImplementedError
+
+
+class _WorstSample(Check):
+    """A per-sample test whose verdict is its smallest-margin sample."""
+
+    worst: Optional[CheckResult] = None
+
+    def keep(self, t: float, res: CheckResult) -> None:
+        if self.worst is None or res.margin < self.worst.margin:
+            self.worst = replace(res, detail=f"t={t:.6g}: {res.detail}")
+
+    def verdict(self, run: RunRecord) -> CheckVerdict:
+        w = self.worst
+        return CheckVerdict(self.name, w.passed, True, w.margin, f"worst {w.detail}")
+
+
+class Sandwich(_WorstSample):
+    name = "sandwich"
+
+    def observe(self, t, u, v, run):
+        self.keep(t, sandwich_check(u, v))
+
+
+class BoundaryGuard(_WorstSample):
+    """Also records the first sample that breaches the band as a
+    guard_breach event."""
+
+    name = "boundary_guard"
+    schema = {"far_value": 0.0}
+    breached = False
+
+    def observe(self, t, u, v, run):
+        res = boundary_guard(u, self.cfg["far_value"], run.scenario.diagnostics.guard)
+        self.keep(t, res)
+        if not res.passed and not self.breached:
+            self.breached = True
+            run.events.append({"t": t, "kind": "guard_breach", "message": res.detail})
+
+
+class MassGrowth(Check):
+    """||u||_r against ||u0||_r e^(a t); an r with no base series column
+    gets its own column l<r>."""
+
+    name = "mass_growth"
+    schema = {"r": 1.0, "tol": 1e-6}
+    _BASE = {1.0: "mass", 2.0: "l2", math.inf: "linf"}
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.label = self._BASE.get(cfg["r"], f"l{cfg['r']:g}")
+
+    def observe(self, t, u, v, run):
+        # by label: an r within rounding of 2 prints as l2 and reads that column
+        if self.label not in self._BASE.values():
+            run.series.setdefault(self.label, []).append(lp_norm(u, self.cfg["r"]))
+
+    def verdict(self, run):
+        r, tol = self.cfg["r"], self.cfg["tol"]
+        values = run.series[self.label]
+        series = TimeSeries(label=self.label, times=np.asarray(run.times), values=np.asarray(values))
+        res = check_lr_growth(series, values[0], run.params.a, tol)
+        max_r = run.regime.max_safe_r
+        asserted = r <= max_r
+        note = "" if asserted else (
+            f" [not asserted: r={r:g} exceeds the safe exponent {max_r:g}]"
+        )
+        return CheckVerdict(self.name, res.passed, asserted, res.margin, res.detail + note)
+
+
+class Envelope(Check):
+    name = "envelope"
+    schema = {"tol": 1e-6}
+
+    def verdict(self, run):
+        p, tol = run.params, self.cfg["tol"]
+        if p.chi > p.b:
+            return CheckVerdict(
+                self.name, True, False, math.nan,
+                "not evaluated: the comparison envelope needs chi <= b",
+            )
+        t_arr, linf = np.asarray(run.times), run.series["linf"]
+        m0 = linf[0]
+        scale = 1.0 + m0
+        env = np.array([upper_envelope(t, m0, p) for t in t_arr])
+        slack = env + tol * scale - np.asarray(linf)
+        worst = int(np.argmin(slack))
+        return CheckVerdict(
+            self.name,
+            slack[worst] >= 0.0,
+            True,
+            slack[worst],
+            (
+                f"worst at t={t_arr[worst]:.6g}: sup u = "
+                f"{linf[worst]:.9g} vs envelope {env[worst]:.9g} "
+                f"(+ {tol:g} * {scale:g})"
+            ),
+        )
+
+
+class SpeedRange(Check):
+    name = "speed_range"
+    schema = {"min": REQUIRED, "max": REQUIRED}
+
+    def verdict(self, run):
+        lo, hi = self.cfg["min"], self.cfg["max"]
+        spreading = run.regime.spreading
+        if run.speed is None:
+            return CheckVerdict(
+                self.name, False, spreading, math.nan, f"no speed estimate: {run.speed_error}"
+            )
+        s = run.speed["speed"]
+        margin = min(s - lo, hi - s)
+        return CheckVerdict(
+            self.name,
+            margin >= 0.0,
+            spreading,
+            margin,
+            f"fit speed {s:.6g} (stderr {run.speed['stderr']:.2g}) vs [{lo:g}, {hi:g}]",
+        )
+
+
+class Equilibrium(Check):
+    """Asserted only for strictly positive data in the stability regime;
+    trend_from None means t_end / 4."""
+
+    name = "equilibrium"
+    schema = {"tol": 1e-3, "trend_from": None}
+
+    def verdict(self, run):
+        tol, t_from = self.cfg["tol"], self.cfg["trend_from"]
+        asserted = bool(run.regime.stability) and run.series["min_u"][0] > 0.0
+        if run.abort is not None:
+            return CheckVerdict(self.name, False, asserted, math.nan, "run aborted early")
+        if t_from is None:
+            t_from = run.scenario.control.t_end / 4.0
+        t_arr = np.asarray(run.times)
+        dist = np.asarray(run.series["dist_u_ab"]) + np.asarray(run.series["dist_v_ab"])
+        final = float(dist[-1])
+        j = min(int(np.searchsorted(t_arr, t_from)), len(dist) - 1)
+        ref = float(dist[j])
+        # a run already a decade under tolerance has converged; the
+        # trend comparison below that level is rounding noise
+        trend_ok = final <= ref or final <= 0.1 * tol
+        margin = tol - final
+        return CheckVerdict(
+            self.name,
+            margin >= 0.0 and trend_ok,
+            asserted,
+            margin,
+            (
+                f"dist(u)+dist(v) = {final:.6g} at t={t_arr[-1]:g} "
+                f"(tol {tol:g}); trend {ref:.6g} -> {final:.6g} "
+                f"from t={t_arr[j]:g}"
+            ),
+        )
+
+
+class CstarPositive(Check):
+    """Reads the harness's last far-field scan of the speed floor."""
+
+    name = "cstar_positive"
+
+    def verdict(self, run):
+        spreading = run.regime.spreading
+        if run.scan is None:
+            return CheckVerdict(
+                self.name, False, spreading, math.nan,
+                "no usable far-field scan (front empty or beyond guard)",
+            )
+        t_scan, scan = run.scan
+        return CheckVerdict(
+            self.name,
+            scan.all_defined and scan.speed_min > 0.0 and scan.positivity_min > 0.0,
+            spreading,
+            min(scan.speed_min, scan.positivity_min),
+            (
+                f"t={t_scan:.6g}: floor min {scan.speed_min:.6g}, "
+                f"positivity min {scan.positivity_min:.6g}, undefined "
+                f"fraction {scan.undefined_fraction:.3g} over "
+                f"{scan.n_points} points"
+            ),
+        )
+
+
+class SpreadingLimits(Check):
+    """Interior flatness and exterior smallness in the wake and ahead of
+    the measured front.
+
+    Evaluated at the last sample where the exterior region
+    |x| >= outer_factor * c * t still fits inside the guard radius, so
+    both regions are genuinely resolved by the box.  The speed c is
+    known only from the fit after the run, so every sampled u is kept.
+    """
+
+    name = "spreading_limits"
+    schema = {
+        "inner_tol": 1e-2,
+        "outer_tol": 1e-4,
+        "inner_factor": 0.5,
+        "outer_factor": 1.5,
+    }
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.states: list = []
+
+    def observe(self, t, u, v, run):
+        self.states.append(u)
+
+    def verdict(self, run):
+        c = self.cfg
+        asserted = run.regime.spreading
+
+        def fail(detail):
+            return CheckVerdict(self.name, False, asserted, math.nan, detail)
+
+        if run.speed is None:
+            return fail("no speed estimate to anchor the regions")
+        cval = run.speed["speed"]
+        if not (math.isfinite(cval) and cval > 0):
+            return fail(f"measured speed {cval!r} is not a positive number")
+        limit = (1.0 - run.scenario.diagnostics.guard) * run.scenario.grid.half_width
+        valid = run.series["front_valid"]
+        j_star = next(
+            (
+                j for j in range(len(self.states) - 1, -1, -1)
+                if run.times[j] > 0 and valid[j]
+                and c["outer_factor"] * cval * run.times[j] <= limit
+            ),
+            -1,
+        )
+        if j_star < 0:
+            return fail(
+                f"no sample keeps |x| >= {c['outer_factor']:g} c t inside the "
+                f"guard radius {limit:.6g}"
+            )
+        t_star = float(run.times[j_star])
+        u = self.states[j_star]
+        r_mesh = _radius_mesh(u.grid)
+        inner = r_mesh <= c["inner_factor"] * cval * t_star
+        outer = r_mesh >= c["outer_factor"] * cval * t_star
+        if not inner.any():
+            return fail(f"inner region empty at t={t_star:g}")
+        if not outer.any():
+            return fail(f"outer region empty at t={t_star:g}")
+        target = run.params.a / run.params.b
+        inner_sup = float(np.max(np.abs(u.values[inner] - target)))
+        outer_sup = float(np.max(np.abs(u.values[outer])))
+        margin = min(c["inner_tol"] - inner_sup, c["outer_tol"] - outer_sup)
+        return CheckVerdict(
+            self.name,
+            margin >= 0.0,
+            asserted,
+            margin,
+            (
+                f"t={t_star:g}, c={cval:.4g}: sup |u - a/b| = {inner_sup:.6g} on "
+                f"|x| <= {c['inner_factor']:g} c t (tol {c['inner_tol']:g}); "
+                f"sup |u| = {outer_sup:.6g} on |x| >= {c['outer_factor']:g} c t "
+                f"(tol {c['outer_tol']:g})"
+            ),
+        )
+
+
+#: every check by name, in report order
+CHECKS: dict = {
+    unit.name: unit
+    for unit in (
+        Sandwich,
+        MassGrowth,
+        Envelope,
+        BoundaryGuard,
+        SpeedRange,
+        Equilibrium,
+        CstarPositive,
+        SpreadingLimits,
+    )
+}

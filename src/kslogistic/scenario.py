@@ -4,17 +4,25 @@ Strict means strict: unknown keys anywhere are errors, as are missing
 required keys, wrong types, and timing grids that do not nest (the
 sample interval must be an integer multiple of dt, and t_end an integer
 multiple of the sample interval).  Parse errors carry line and column.
+
+Each rule lives with the object it constrains: Grid, Params, ICSpec,
+StepControl and DiagnosticsConfig check their own fields, and Scenario
+checks the rules that span sections and normalizes its checks.  A
+Scenario built by hand or by ``with_value`` is therefore held to the
+same rules as a loaded one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
 import yaml
 
+from .checks import CHECKS
+from .checks import REQUIRED as _REQUIRED
+from .grid import Grid
 from .icfactory import ICSpec
 from .params import Params
 from .stepper import StepControl
@@ -22,7 +30,6 @@ from .stepper import StepControl
 __all__ = [
     "SCHEMA_VERSION",
     "ScenarioError",
-    "GridSpec",
     "DiagnosticsConfig",
     "Scenario",
     "load_scenario",
@@ -33,34 +40,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: per-check parameter schemas: name -> {param: (default or REQUIRED)}
-_REQUIRED = object()
-CHECK_SCHEMAS: dict = {
-    "sandwich": {},
-    "mass_growth": {"r": 1.0, "tol": 1e-6},
-    "envelope": {"tol": 1e-6},
-    "boundary_guard": {"far_value": 0.0},
-    "speed_range": {"min": _REQUIRED, "max": _REQUIRED},
-    "equilibrium": {"tol": 1e-3, "trend_from": None},
-    "cstar_positive": {},
-    "spreading_limits": {
-        "inner_tol": 1e-2,
-        "outer_tol": 1e-4,
-        "inner_factor": 0.5,
-        "outer_factor": 1.5,
-    },
-}
-
 
 class ScenarioError(ValueError):
     """Malformed scenario file or dictionary."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    dim: int
-    n: int
-    half_width: float
 
 
 @dataclass(frozen=True)
@@ -80,17 +62,39 @@ class DiagnosticsConfig:
     equilibrium_radius: Optional[float] = None
     cstar_inner_factor: float = 1.5
 
+    def __post_init__(self) -> None:
+        if not self.sample_interval > 0:
+            raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
+        if not 0.0 < self.guard < 0.5:
+            raise ValueError(f"guard must lie in (0, 1/2), got {self.guard}")
+        if self.front_level is not None and not self.front_level > 0:
+            raise ValueError(f"front_level must be positive when set, got {self.front_level}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated run configuration; checks are stored normalized
+    (every schema parameter present, numbers as floats)."""
+
     name: str
-    grid: GridSpec
+    grid: Grid
     params: Params
     ic: ICSpec
     control: StepControl
     diagnostics: DiagnosticsConfig
     checks: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self) -> None:
+        timing(self)
+        if self.diagnostics.front_level is None and self.params.a == 0:
+            raise ScenarioError(
+                "diagnostics.front_level: the default level a / (2 b) "
+                "degenerates when a = 0; set it explicitly"
+            )
+        object.__setattr__(self, "checks", normalize_checks(self.checks))
 
     def to_dict(self) -> dict:
         """Normalized echo of the configuration (defaults filled in)."""
@@ -222,29 +226,24 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
 
     gd = _expect_mapping(data["grid"], f"{source}.grid")
     _check_keys(gd, ["dim", "n", "half_width"], ["dim", "n", "half_width"], f"{source}.grid")
-    grid = GridSpec(
+    grid = _build(
+        Grid,
+        f"{source}.grid",
         dim=_integer(gd, "dim", f"{source}.grid"),
         n=_integer(gd, "n", f"{source}.grid"),
         half_width=_number(gd, "half_width", f"{source}.grid"),
     )
-    if grid.dim not in (1, 2):
-        raise ScenarioError(f"{source}.grid.dim must be 1 or 2, got {grid.dim}")
-    if grid.n < 4 or grid.n % 2:
-        raise ScenarioError(f"{source}.grid.n must be even and >= 4, got {grid.n}")
-    if not grid.half_width > 0:
-        raise ScenarioError(f"{source}.grid.half_width must be positive")
 
     pd = _expect_mapping(data["params"], f"{source}.params")
     _check_keys(pd, ["chi", "a", "b"], ["chi", "a", "b"], f"{source}.params")
-    try:
-        params = Params(
-            chi=_number(pd, "chi", f"{source}.params"),
-            a=_number(pd, "a", f"{source}.params"),
-            b=_number(pd, "b", f"{source}.params"),
-            dim=grid.dim,
-        )
-    except ValueError as e:
-        raise ScenarioError(f"{source}.params: {e}") from None
+    params = _build(
+        Params,
+        f"{source}.params",
+        chi=_number(pd, "chi", f"{source}.params"),
+        a=_number(pd, "a", f"{source}.params"),
+        b=_number(pd, "b", f"{source}.params"),
+        dim=grid.dim,
+    )
 
     icd = _expect_mapping(data["ic"], f"{source}.ic")
     _check_keys(
@@ -263,18 +262,17 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
         )
     else:
         center = _number(icd, "center", f"{source}.ic", default=0.0)
-    try:
-        ic = ICSpec(
-            kind=kind,
-            amplitude=_number(icd, "amplitude", f"{source}.ic", default=1.0),
-            center=center,
-            radius=_number(icd, "radius", f"{source}.ic", default=1.0),
-            width=_number(icd, "width", f"{source}.ic", default=0.5),
-            floor=_number(icd, "floor", f"{source}.ic", default=0.0),
-            seed=_integer(icd, "seed", f"{source}.ic", default=0),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"{source}.ic: {e}") from None
+    ic = _build(
+        ICSpec,
+        f"{source}.ic",
+        kind=kind,
+        amplitude=_number(icd, "amplitude", f"{source}.ic", default=1.0),
+        center=center,
+        radius=_number(icd, "radius", f"{source}.ic", default=1.0),
+        width=_number(icd, "width", f"{source}.ic", default=0.5),
+        floor=_number(icd, "floor", f"{source}.ic", default=0.0),
+        seed=_integer(icd, "seed", f"{source}.ic", default=0),
+    )
 
     cd = _expect_mapping(data["control"], f"{source}.control")
     _check_keys(
@@ -283,20 +281,19 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
         ["dt", "t_end"],
         f"{source}.control",
     )
-    try:
-        control = StepControl(
-            dt=_number(cd, "dt", f"{source}.control"),
-            t_end=_number(cd, "t_end", f"{source}.control"),
-            dealias=_boolean(cd, "dealias", f"{source}.control", default=True),
-            negativity_budget=_number(
-                cd, "negativity_budget", f"{source}.control", default=None, allow_none=True
-            ),
-            blowup_threshold=_number(
-                cd, "blowup_threshold", f"{source}.control", default=None, allow_none=True
-            ),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"{source}.control: {e}") from None
+    control = _build(
+        StepControl,
+        f"{source}.control",
+        dt=_number(cd, "dt", f"{source}.control"),
+        t_end=_number(cd, "t_end", f"{source}.control"),
+        dealias=_boolean(cd, "dealias", f"{source}.control", default=True),
+        negativity_budget=_number(
+            cd, "negativity_budget", f"{source}.control", default=None, allow_none=True
+        ),
+        blowup_threshold=_number(
+            cd, "blowup_threshold", f"{source}.control", default=None, allow_none=True
+        ),
+    )
 
     dd = _expect_mapping(data["diagnostics"], f"{source}.diagnostics")
     _check_keys(
@@ -312,7 +309,9 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
         ["sample_interval"],
         f"{source}.diagnostics",
     )
-    diag = DiagnosticsConfig(
+    diag = _build(
+        DiagnosticsConfig,
+        f"{source}.diagnostics",
         sample_interval=_number(dd, "sample_interval", f"{source}.diagnostics"),
         front_level=_number(
             dd, "front_level", f"{source}.diagnostics", default=None, allow_none=True
@@ -326,60 +325,28 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
             dd, "cstar_inner_factor", f"{source}.diagnostics", default=1.5
         ),
     )
-    if not diag.sample_interval > 0:
-        raise ScenarioError(f"{source}.diagnostics.sample_interval must be positive")
-    if not 0.0 < diag.guard < 0.5:
-        raise ScenarioError(f"{source}.diagnostics.guard must lie in (0, 1/2)")
-    if diag.front_level is not None and not diag.front_level > 0:
-        raise ScenarioError(f"{source}.diagnostics.front_level must be positive when set")
-    if diag.snapshot_every < 0:
-        raise ScenarioError(f"{source}.diagnostics.snapshot_every must be >= 0")
-    _multiple_of(diag.sample_interval, control.dt, "sample_interval", "dt")
-    _multiple_of(control.t_end, diag.sample_interval, "t_end", "sample_interval")
-    if diag.front_level is None and params.a == 0:
-        raise ScenarioError(
-            f"{source}.diagnostics.front_level: the default level a / (2 b) "
-            f"degenerates when a = 0; set it explicitly"
-        )
 
-    checks_raw = data.get("checks", {})
-    checks_raw = _expect_mapping(checks_raw, f"{source}.checks")
-    checks: dict = {}
-    for cname, cfg in checks_raw.items():
-        if cname not in CHECK_SCHEMAS:
-            raise ScenarioError(
-                f"unknown check {cname!r} in {source}.checks; known: "
-                f"{sorted(CHECK_SCHEMAS)}"
-            )
-        cfg = {} if cfg is None else _expect_mapping(cfg, f"{source}.checks.{cname}")
-        schema = CHECK_SCHEMAS[cname]
-        _check_keys(
-            cfg,
-            allowed=schema.keys(),
-            required=[k for k, v in schema.items() if v is _REQUIRED],
-            where=f"{source}.checks.{cname}",
-        )
-        out = {}
-        for key, default in schema.items():
-            out[key] = _number(
-                cfg,
-                key,
-                f"{source}.checks.{cname}",
-                default=default,
-                allow_none=default is None,
-            )
-        checks[cname] = out
-
-    return Scenario(
+    return _build(
+        Scenario,
+        source,
         name=name,
         grid=grid,
         params=params,
         ic=ic,
         control=control,
         diagnostics=diag,
-        checks=checks,
+        checks=data.get("checks", {}),
         schema_version=version,
     )
+
+
+def _build(cls, where: str, **kwargs):
+    """cls(**kwargs), with the ValueError of its own validation raised
+    as a ScenarioError that names where."""
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}") from None
 
 
 def load_scenario(path) -> Scenario:
@@ -400,27 +367,21 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data, source=str(path))
 
 
-def normalize_checks(checks: dict) -> dict:
-    """Fill UNSET check parameters with schema defaults.
-
-    Loader output is already normalized; this makes hand-built check
-    dicts equivalent to loaded ones.
-    """
+def normalize_checks(checks) -> dict:
+    """Validate a checks mapping against the schemas in ``CHECKS`` and
+    fill omitted parameters with their defaults."""
+    checks = _expect_mapping(checks, "checks")
     out = {}
     for name, cfg in checks.items():
-        if name not in CHECK_SCHEMAS:
-            raise ScenarioError(
-                f"unknown check {name!r}; known: {sorted(CHECK_SCHEMAS)}"
-            )
-        schema = CHECK_SCHEMAS[name]
-        cfg = cfg or {}
-        _check_keys(
-            cfg,
-            allowed=schema.keys(),
-            required=[k for k, v in schema.items() if v is _REQUIRED],
-            where=f"checks.{name}",
-        )
-        out[name] = {k: cfg.get(k, d) for k, d in schema.items()}
+        if name not in CHECKS:
+            raise ScenarioError(f"unknown check {name!r} in checks; known: {sorted(CHECKS)}")
+        where = f"checks.{name}"
+        cfg = {} if cfg is None else _expect_mapping(cfg, where)
+        schema = CHECKS[name].schema
+        _check_keys(cfg, schema, [k for k, d in schema.items() if d is _REQUIRED], where)
+        out[name] = {
+            k: _number(cfg, k, where, default=d, allow_none=d is None) for k, d in schema.items()
+        }
     return out
 
 
@@ -447,6 +408,8 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
 
     axis is a dotted path (params.chi, control.dt, grid.n, ic.amplitude)
     or a bare field name that resolves uniquely across those sections.
+    Only constructor fields are axes, so derived ones such as grid.h are
+    not.  The copy is validated like a loaded scenario.
     """
     sections = {
         "params": scenario.params,
@@ -454,6 +417,10 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
         "grid": scenario.grid,
         "ic": scenario.ic,
     }
+
+    def init_fields(obj) -> set:
+        return {f.name for f in fields(obj) if f.init}
+
     if "." in axis:
         sec_name, _, fname = axis.partition(".")
         if sec_name not in sections:
@@ -462,11 +429,7 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
             )
         hits = [(sec_name, fname)]
     else:
-        hits = [
-            (sname, axis)
-            for sname, obj in sections.items()
-            if axis in getattr(type(obj), "__dataclass_fields__", {})
-        ]
+        hits = [(sname, axis) for sname, obj in sections.items() if axis in init_fields(obj)]
         if len(hits) > 1:
             raise ScenarioError(
                 f"axis {axis!r} is ambiguous across sections "
@@ -476,8 +439,7 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
         raise ScenarioError(f"axis {axis!r} does not name a scenario field")
     sec_name, fname = hits[0]
     obj = sections[sec_name]
-    fields_ = getattr(type(obj), "__dataclass_fields__", {})
-    if fname not in fields_:
+    if fname not in init_fields(obj):
         raise ScenarioError(f"axis {axis!r}: {sec_name} has no field {fname!r}")
     current = getattr(obj, fname)
     if isinstance(current, bool) or (
@@ -491,13 +453,12 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
     else:  # float-valued, or an optional numeric field currently unset
         value = float(value)
     try:
-        new_obj = replace(obj, **{fname: value})
+        changes = {sec_name: replace(obj, **{fname: value})}
+        if sec_name == "grid":
+            changes["params"] = replace(scenario.params, dim=changes["grid"].dim)
+        return replace(scenario, **changes)
     except ValueError as e:
         raise ScenarioError(f"axis {axis!r} value {value!r} rejected: {e}") from None
-    out = replace(scenario, **{sec_name: new_obj})
-    if sec_name == "grid":
-        out = replace(out, params=replace(scenario.params, dim=new_obj.dim))
-    return out
 
 
 def timing(scenario: Scenario) -> tuple:
@@ -512,12 +473,8 @@ def timing(scenario: Scenario) -> tuple:
 
 
 def front_level_of(scenario: Scenario) -> float:
+    """diagnostics.front_level, else a / (2 b)."""
     lvl = scenario.diagnostics.front_level
     if lvl is None:
         lvl = scenario.params.a / (2.0 * scenario.params.b)
-    if not lvl > 0 or math.isnan(lvl):
-        raise ScenarioError(
-            f"front level {lvl} is not positive; set diagnostics.front_level "
-            f"explicitly when a = 0"
-        )
     return lvl

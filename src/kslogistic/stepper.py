@@ -222,8 +222,9 @@ def step(state: State, p: Params, control: StepControl) -> State:
     return State(t=t_new, u=Field(g, u_new), step_count=state.step_count + 1, uh=newh)
 
 
-def stability_warnings(state: State, p: Params, control: StepControl) -> list[str]:
-    """Advisory step-size checks; violations degrade accuracy, not safety."""
+def stability_warnings(state: State, p: Params, control: StepControl) -> list[tuple[str, str]]:
+    """Advisory step-size checks as (kind, message) pairs, kind "drift"
+    or "reaction"; violations degrade accuracy, not safety."""
     g = state.u.grid
     amp = float(np.max(np.abs(state.u.values)))
     out = []
@@ -231,16 +232,18 @@ def stability_warnings(state: State, p: Params, control: StepControl) -> list[st
     if drift > 0:
         dt_adv = 0.25 * g.h / drift
         if control.dt > dt_adv:
-            out.append(
+            out.append((
+                "drift",
                 f"dt={control.dt:.3g} exceeds the drift limit {dt_adv:.3g} "
-                f"(0.25 h / (chi sqrt(dim) ||u||_inf))"
-            )
+                f"(0.25 h / (chi sqrt(dim) ||u||_inf))",
+            ))
     react = p.a + 2.0 * p.b * amp
     if react > 0:
         dt_react = 0.5 / react
         if control.dt > dt_react:
-            out.append(
+            out.append((
+                "reaction",
                 f"dt={control.dt:.3g} exceeds the reaction limit {dt_react:.3g} "
-                f"(0.5 / (a + 2 b ||u||_inf))"
-            )
+                f"(0.5 / (a + 2 b ||u||_inf))",
+            ))
     return out

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from kslogistic.harness import (
     sweep,
     write_sweep_csv,
 )
+from kslogistic.params import Params
 from kslogistic.scenario import (
     Scenario,
     ScenarioError,
@@ -25,6 +27,7 @@ from kslogistic.scenario import (
     scenario_from_dict,
     with_value,
 )
+from kslogistic.stepper import StepControl
 
 TINY = {
     "schema_version": 1,
@@ -124,6 +127,33 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="chi"):
             tiny(params={"chi": -0.5})
 
+    @pytest.mark.parametrize(
+        "patch, match",
+        [
+            ({"grid": {"n": 7}}, r"grid: n must be even"),
+            ({"grid": {"dim": 3}}, r"grid: dim must be 1 or 2"),
+            ({"grid": {"half_width": -1.0}}, r"grid: half_width must be positive"),
+            ({"diagnostics": {"sample_interval": 0.1, "guard": 0.7}}, r"diagnostics: guard"),
+            ({"diagnostics": {"sample_interval": 0.1, "snapshot_every": -1}},
+             r"diagnostics: snapshot_every"),
+            ({"diagnostics": {"sample_interval": 0.1, "front_level": 0.0}},
+             r"diagnostics: front_level"),
+        ],
+    )
+    def test_section_validation_is_wrapped(self, patch, match):
+        with pytest.raises(ScenarioError, match=match):
+            tiny(**patch)
+
+    def test_hand_built_scenario_is_validated_and_normalized(self):
+        sc = replace(tiny(), checks={"mass_growth": None})
+        assert sc.checks == {"mass_growth": {"r": 1.0, "tol": 1e-6}}
+        with pytest.raises(ScenarioError, match="telepathy"):
+            replace(tiny(), checks={"telepathy": {}})
+        with pytest.raises(ScenarioError, match="front_level"):
+            replace(tiny(), params=Params(chi=0.3, a=0.0, b=1.0))
+        with pytest.raises(ScenarioError, match="t_end"):
+            replace(tiny(), control=StepControl(dt=0.01, t_end=0.55))
+
 
 class TestWithValue:
     def test_dotted_paths_hit_each_section(self):
@@ -144,6 +174,9 @@ class TestWithValue:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ScenarioError, match="no field"):
             with_value(tiny(), "params.xi", 0.1)
+        # derived grid attributes are not constructor fields
+        with pytest.raises(ScenarioError, match="no field"):
+            with_value(tiny(), "grid.h", 0.1)
 
     def test_integer_axis_rejects_fraction(self):
         with pytest.raises(ScenarioError, match="integer"):
@@ -321,9 +354,21 @@ class TestSweep:
         assert not rows[1]["passed"]
         assert "threshold" in rows[1]["message"]
 
-    def test_invalid_axis_value_fails_fast(self):
+    @pytest.mark.parametrize(
+        "axis, good, bad",
+        [
+            ("params.chi", 0.1, -0.1),
+            ("grid.n", 128, 7),
+            ("grid.half_width", 12.0, -5.0),
+            # 0.03 does not divide the sample interval 0.1
+            ("control.dt", 0.005, 0.03),
+        ],
+        ids=["params.chi", "grid.n", "grid.half_width", "control.dt"],
+    )
+    def test_invalid_axis_value_fails_fast(self, axis, good, bad):
+        # a run failure would be recorded in a row; raising means no run started
         with pytest.raises(ScenarioError, match="rejected"):
-            sweep(tiny(), "params.chi", [0.1, -0.1])
+            sweep(tiny(), axis, [good, bad])
 
     def test_empty_values_rejected(self):
         with pytest.raises(ScenarioError, match="nonempty"):

@@ -189,8 +189,13 @@ def test_stability_warnings_fire_and_stay_quiet():
     g = make_grid(1, 64, 5.0)
     p = Params(chi=1.0, a=1.0, b=1.0, dim=1)
     s = initial_state(Field(g, np.full(64, 2.0)))
-    assert stability_warnings(s, p, StepControl(dt=1.0, t_end=2.0)) != []
+    loud = stability_warnings(s, p, StepControl(dt=1.0, t_end=2.0))
+    assert [kind for kind, _ in loud] == ["drift", "reaction"]
+    assert "drift limit" in loud[0][1] and "reaction limit" in loud[1][1]
     assert stability_warnings(s, p, StepControl(dt=1e-3, t_end=2.0)) == []
+    # between the two limits only the drift one is crossed
+    drift_only = stability_warnings(s, p, StepControl(dt=0.05, t_end=2.0))
+    assert [kind for kind, _ in drift_only] == ["drift"]
 
 
 def test_step_control_validation():
