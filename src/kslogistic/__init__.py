@@ -25,7 +25,6 @@ from .grid import (
     gradient,
     laplacian,
     make_grid,
-    to_physical,
     to_spectral,
 )
 from .harness import Report, run, run_experiment, sweep

@@ -7,15 +7,18 @@ Conventions used by every module in this package:
   coordinate x_i.
 * Forward transforms divide by n**dim, so the k = 0 coefficient equals
   the field mean and Fourier-multiplier algebra needs no rescaling.
-* Wavenumbers are k_j = pi*j/L in standard FFT ordering.  The largest
-  magnitude is pi*(n/2)/L, stored as the negative frequency.
+* The rfftn half-spectrum is the only spectral layout: leading axes
+  hold every mode in standard FFT ordering, the last axis keeps
+  j = 0 .. n/2.  ``Grid.rfft``/``Grid.irfft`` move real fields in and
+  out of it, and ``Grid.half`` holds its multipliers.  This module is
+  the only one that knows the mode numbering.
+* Wavenumbers are k_j = pi*j/L; the largest magnitude is pi*(n/2)/L.
 * Odd-derivative multipliers zero the Nyquist mode (it has no conjugate
   partner, so a first derivative would break Hermitian symmetry).
-* Dealiasing uses the 2/3 rule: per axis, modes with |j| > n//3 are
+* Dealiasing uses the 2/3 rule: modes with max_axis |j| > n//3 are
   dropped before and after quadratic products.
-* Real fields are transformed internally to the rfftn half-spectrum
-  (last axis keeps j = 0 .. n/2), whose multipliers ``Grid.half`` holds;
-  ``SpectralField``, ``to_spectral`` and ``to_physical`` keep the full layout.
+* ``to_spectral`` exports the full complex spectrum (``SpectralField``)
+  for inspection only; nothing here consumes that layout.
 """
 
 from __future__ import annotations
@@ -34,33 +37,15 @@ __all__ = [
     "NonFiniteFieldError",
     "make_grid",
     "to_spectral",
-    "to_physical",
     "gradient",
     "divergence",
     "laplacian",
     "require_finite",
 ]
 
-#: imaginary residual above this (relative to the real part) means the
-#: coefficients were not Hermitian-symmetric
-_HERMITIAN_RTOL = 1e-10
-
 
 class NonFiniteFieldError(ValueError):
     """A field contains NaN or Inf where finite data is required."""
-
-
-def _multipliers(dim: int, n: int, L: float, half: bool) -> tuple:
-    """|k|^2, broadcastable i*k per axis with Nyquist entries zeroed, and
-    the 2/3-rule mask, on the full spectrum or, with ``half``, on the
-    rfftn half-spectrum."""
-    j = np.rint(np.fft.fftfreq(n, d=1.0 / n))
-    last = np.abs(j[: n // 2 + 1]) if half else j
-    modes = np.meshgrid(*([j] * (dim - 1)), last, indexing="ij", sparse=True)
-    k = [(np.pi / L) * m for m in modes]
-    ik = tuple(np.where(np.abs(m) == n // 2, 0.0, 1j * ka) for m, ka in zip(modes, k))
-    keep = np.all(np.broadcast_arrays(*(np.abs(m) <= n // 3 for m in modes)), axis=0)
-    return sum(ka**2 for ka in k), ik, keep
 
 
 @dataclass(frozen=True)
@@ -68,14 +53,16 @@ class HalfSpectrum:
     """Fourier multipliers on the rfftn half-spectrum of a grid; per-axis
     ones are stacked along a leading axis of length dim.
 
+    modes : max_axis |j|, the integer mode index
     k2 : |k|^2
     ik : i*k per axis, Nyquist entries zeroed
-    mask : 1.0 on modes kept by the 2/3 rule, else 0.0
+    mask : 1.0 on modes kept by the 2/3 rule (modes <= n//3), else 0.0
     resolvent : 1/(1 + |k|^2), the multiplier of (I - lap)^(-1)
     grad_resolvent : i*k/(1 + |k|^2) per axis
     masked_grad_resolvent : grad_resolvent times mask
     """
 
+    modes: np.ndarray
     k2: np.ndarray
     ik: np.ndarray
     mask: np.ndarray
@@ -91,11 +78,19 @@ class HalfSpectrum:
 
 @lru_cache(maxsize=16)
 def _half_spectrum(dim: int, n: int, L: float) -> HalfSpectrum:
-    k2, ik, keep = _multipliers(dim, n, L, half=True)
-    ik = np.stack(np.broadcast_arrays(*ik))
-    mask = keep.astype(np.float64)
+    # mode numbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1; the
+    # last axis keeps the first n/2 + 1 of them, read as j = 0 .. n/2
+    j = np.rint(np.fft.fftfreq(n, d=1.0 / n))
+    m = np.stack(np.meshgrid(*([j] * (dim - 1)), np.abs(j[: n // 2 + 1]), indexing="ij"))
+    k = (np.pi / L) * m
+    k2 = sum(ka**2 for ka in k)
+    ik = np.where(np.abs(m) == n // 2, 0.0, 1j * k)
+    modes = np.max(np.abs(m), axis=0).astype(np.intp)
+    mask = (modes <= n // 3).astype(np.float64)
     grad_resolvent = ik / (1.0 + k2)
-    return HalfSpectrum(k2, ik, mask, 1.0 / (1.0 + k2), grad_resolvent, grad_resolvent * mask)
+    return HalfSpectrum(
+        modes, k2, ik, mask, 1.0 / (1.0 + k2), grad_resolvent, grad_resolvent * mask
+    )
 
 
 @dataclass(frozen=True)
@@ -118,15 +113,10 @@ class Grid:
         Grid spacing 2*L/n.
     axes : tuple of ndarray
         Per-axis coordinates, each ``-L + h*arange(n)``.
-    wavenumbers : tuple of ndarray
-        Per-axis k_j = pi*j/L in FFT order.
-    k2 : ndarray
-        Dense |k|^2 mesh, shape ``shape``.
-    ik : tuple of ndarray
-        Broadcastable first-derivative multipliers i*k per axis with
-        the Nyquist entry zeroed.
-    dealias_mask : ndarray of bool
-        True on modes kept by the 2/3 rule (|j| <= n//3 per axis).
+
+    Spectral work uses one layout, the rfftn half-spectrum: ``rfft``
+    and ``irfft`` transform into and out of it, and ``half`` holds its
+    multipliers, built once per (dim, n, L) and shared.
     """
 
     dim: int
@@ -135,10 +125,6 @@ class Grid:
 
     h: float = field(init=False, repr=False, compare=False)
     axes: tuple = field(init=False, repr=False, compare=False)
-    wavenumbers: tuple = field(init=False, repr=False, compare=False)
-    k2: np.ndarray = field(init=False, repr=False, compare=False)
-    ik: tuple = field(init=False, repr=False, compare=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -150,18 +136,8 @@ class Grid:
 
         L = float(self.half_width)
         h = 2.0 * L / self.n
-        k2, ik, keep = _multipliers(self.dim, self.n, L, half=False)
-        # mode numbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
-        k1 = (np.pi / L) * np.rint(np.fft.fftfreq(self.n, d=1.0 / self.n))
-        for name, value in (
-            ("h", h),
-            ("axes", tuple(-L + h * np.arange(self.n) for _ in range(self.dim))),
-            ("wavenumbers", tuple(k1.copy() for _ in range(self.dim))),
-            ("k2", k2),
-            ("ik", ik),
-            ("dealias_mask", keep),
-        ):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "axes", tuple(-L + h * np.arange(self.n) for _ in range(self.dim)))
 
     @property
     def shape(self) -> tuple:
@@ -179,7 +155,7 @@ class Grid:
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Forward real transform over the last dim axes (leading axes
-        batch), normalized like ``to_spectral``."""
+        batch), divided by n**dim so the k = 0 coefficient is the mean."""
         if self.dim == 1:
             return sfft.rfft(values, norm="forward")
         return sfft.rfft2(values, norm="forward")
@@ -214,7 +190,8 @@ class Field:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients in standard FFT layout."""
+    """Complex Fourier coefficients in the full FFT layout, as exported by
+    ``to_spectral`` for inspection."""
 
     grid: Grid
     coefficients: np.ndarray
@@ -233,43 +210,22 @@ def make_grid(dim: int, n: int, half_width: float) -> Grid:
     return Grid(dim=dim, n=n, half_width=half_width)
 
 
-def require_finite(f: Field | SpectralField, context: str = "field") -> None:
-    data = f.values if isinstance(f, Field) else f.coefficients
-    if not np.all(np.isfinite(data)):
-        bad = int(np.size(data) - np.count_nonzero(np.isfinite(data)))
+def require_finite(f: Field, context: str = "field") -> None:
+    if not np.all(np.isfinite(f.values)):
+        bad = int(np.size(f.values) - np.count_nonzero(np.isfinite(f.values)))
         raise NonFiniteFieldError(f"{context} has {bad} non-finite entries")
 
 
 def to_spectral(f: Field) -> SpectralField:
-    """Forward transform.  The k = 0 coefficient equals the field mean."""
+    """The full complex spectrum of f, for inspection; the k = 0
+    coefficient equals the field mean."""
     require_finite(f)
     return SpectralField(f.grid, sfft.fftn(f.values, norm="forward"))
 
 
-def to_physical(s: SpectralField) -> Field:
-    """Inverse transform, returning the real part.
-
-    Raises ValueError when the coefficients are measurably non-Hermitian
-    (imaginary residual above 1e-10 relative to the real amplitude).
-    """
-    w = sfft.ifftn(s.coefficients, norm="forward")
-    scale = float(np.max(np.abs(w.real))) if w.size else 0.0
-    resid = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    if resid > _HERMITIAN_RTOL * (1.0 + scale):
-        raise ValueError(
-            f"coefficients are not Hermitian-symmetric: imaginary residual {resid:.3e} "
-            f"against real amplitude {scale:.3e}"
-        )
-    return Field(s.grid, np.ascontiguousarray(w.real))
-
-
-def gradient(f: Field | SpectralField) -> tuple[Field, ...]:
+def gradient(f: Field) -> tuple[Field, ...]:
     """Spectral gradient, one Field per axis.  Nyquist modes are dropped."""
     g = f.grid
-    if isinstance(f, SpectralField):
-        return tuple(
-            to_physical(SpectralField(g, g.ik[a] * f.coefficients)) for a in range(g.dim)
-        )
     return tuple(Field(g, c) for c in g.apply(f.values, g.half.ik))
 
 
@@ -293,9 +249,7 @@ def divergence_hat(w: Sequence[Field]) -> tuple[Grid, np.ndarray]:
     return g, np.sum(g.half.ik * wh, axis=0)
 
 
-def laplacian(f: Field | SpectralField) -> Field:
+def laplacian(f: Field) -> Field:
     """Spectral Laplacian (multiplier -|k|^2, Nyquist retained)."""
     g = f.grid
-    if isinstance(f, SpectralField):
-        return to_physical(SpectralField(g, -g.k2 * f.coefficients))
     return Field(g, g.apply(f.values, -g.half.k2))

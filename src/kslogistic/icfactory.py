@@ -111,11 +111,7 @@ def band_limited_noise(grid: Grid, rng: np.random.Generator, band: int) -> np.nd
     """White noise drawn from rng, keeping per-axis modes |j| <= band,
     scaled to unit sup norm."""
     white = rng.standard_normal(grid.shape)
-    j = np.abs(np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n)))
-    keep = j[: grid.n // 2 + 1] <= band
-    if grid.dim == 2:
-        keep = (j[:, None] <= band) & keep
-    vals = grid.apply(white, keep)
+    vals = grid.apply(white, grid.half.modes <= band)
     top = np.max(np.abs(vals))
     return vals / top if top > 0 else vals
 

@@ -40,7 +40,10 @@ def logistic_exact(u0: float, a0: float, b0: float, t: float) -> float:
     """Solution at time t of m' = m (a0 - b0 m), m(0) = u0.
 
     Valid for u0 >= 0, b0 > 0, any real a0.  Arranged so that no
-    intermediate overflows for large a0 * t of either sign.
+    intermediate overflows for large a0 * t of either sign, and so that
+    no small a0 is divided by another: the growth enters only through
+    s = (e^(a0 t) - 1)/a0 at a0 <= 0 and s = (1 - e^(-a0 t))/a0 at
+    a0 > 0, both formed as t * expm1(x)/x with x = -|a0| t.
     """
     if u0 < 0:
         raise ValueError(f"u0 must be nonnegative, got {u0}")
@@ -49,14 +52,12 @@ def logistic_exact(u0: float, a0: float, b0: float, t: float) -> float:
     u0 = float(u0)
     if u0 == 0.0:
         return 0.0
-    if a0 == 0.0:
-        return u0 / (1.0 + b0 * u0 * t)
+    x = -abs(a0) * t
+    # expm1(x)/x -> 1 as x -> 0, and is exactly 1 when x underflowed
+    s = t if x == 0.0 else t * (math.expm1(x) / x)
     if a0 > 0:
-        # e^(-a0 t) decays; expm1 keeps the a0 -> 0 limit exact
-        em = math.expm1(-a0 * t)
-        return a0 * u0 / (a0 * (1.0 + em) - b0 * u0 * em)
-    em = math.expm1(a0 * t)
-    return a0 * u0 * (1.0 + em) / (a0 + b0 * u0 * em)
+        return u0 / (math.exp(x) + b0 * u0 * s)
+    return u0 * math.exp(x) / (1.0 + b0 * u0 * s)
 
 
 def upper_envelope(t: float, m0: float, p: Params) -> float:

@@ -4,14 +4,58 @@ Everything here deliberately avoids the package's spectral code paths:
 resolvents and semigroups are evaluated by quadrature against explicit
 kernels, time integration by a plain fourth-order Runge-Kutta loop on
 the semi-discrete system, and the stepper and noise builder are also
-kept in their original full complex-FFT form.
+kept in their original full complex-FFT form, on the dense multipliers
+of ``full_multipliers``.
 """
+
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad
 
+from kslogistic.grid import Field
+
 TAIL = 45.0  # exp(-45) ~ 3e-20, far below every tolerance used
+
+
+@lru_cache(maxsize=16)
+def full_multipliers(grid):
+    """Dense multipliers of a grid on the full complex FFT layout.
+
+    k : per-axis wavenumbers k_j = pi*j/L in FFT order
+        (0, 1, ..., n/2-1, -n/2, ..., -1)
+    k2 : |k|^2
+    ik : i*k per axis, Nyquist entries zeroed
+    modes : max_axis |j|
+    mask : True on modes kept by the 2/3 rule (modes <= n//3)
+    """
+    n = grid.n
+    j = np.rint(np.fft.fftfreq(n, d=1.0 / n))
+    k1 = (np.pi / grid.half_width) * j
+    J = np.meshgrid(*([j] * grid.dim), indexing="ij")
+    K = np.meshgrid(*([k1] * grid.dim), indexing="ij")
+    modes = np.max(np.abs(J), axis=0).astype(int)
+    return SimpleNamespace(
+        k=(k1,) * grid.dim,
+        k2=sum(Ka**2 for Ka in K),
+        ik=tuple(np.where(np.abs(Ja) == n // 2, 0.0, 1j * Ka) for Ja, Ka in zip(J, K)),
+        modes=modes,
+        mask=modes <= n // 3,
+    )
+
+
+def smooth_field(grid, seed, kcut=None):
+    """White noise with every mode of |k| > kcut removed on the full
+    spectrum; kcut defaults to half the largest |k|."""
+    rng = np.random.default_rng(seed)
+    k2 = full_multipliers(grid).k2
+    c = sfft.fftn(rng.standard_normal(grid.shape), norm="forward")
+    if kcut is None:
+        kcut = 0.5 * np.sqrt(k2.max())
+    c = np.where(k2 <= kcut**2, c, 0.0)
+    return Field(grid, sfft.ifftn(c, norm="forward").real)
 
 
 def bessel_resolvent_1d(u_per, x, epsabs=1e-12):
@@ -62,10 +106,11 @@ def rk4_reaction_diffusion(u0, grid, a, b, dt, t_end):
     if abs(nsteps * dt - t_end) > 1e-12 * max(1.0, t_end):
         raise ValueError("t_end must be an integer multiple of dt")
     u = np.array(u0, dtype=float)
+    ksq = full_multipliers(grid).k2
 
     def rhs(w):
         wh = np.fft.fftn(w)
-        lap = np.real(np.fft.ifftn(-grid.k2 * wh))
+        lap = np.real(np.fft.ifftn(-ksq * wh))
         return lap + w * (a - b * w)
 
     for _ in range(nsteps):
@@ -95,21 +140,22 @@ def full_fft_rhs_hat(uh, grid, p, dealias):
     """F(u) = -chi div(u grad v) + (a+1) u - b u^2 on the full complex
     spectrum: one inverse transform per factor and one forward
     transform per product, 2/3-truncated before and after products."""
-    mask = grid.dealias_mask
-    vh = uh / (1.0 + grid.k2)
+    m = full_multipliers(grid)
+    mask = m.mask
+    vh = uh / (1.0 + m.k2)
     ud = sfft.ifftn(uh * mask if dealias else uh, norm="forward").real
     out = (p.a + 1.0) * uh
     if p.chi != 0.0:
         chem = np.zeros_like(uh)
         for a in range(grid.dim):
-            gvh = grid.ik[a] * vh
+            gvh = m.ik[a] * vh
             if dealias:
                 gvh = gvh * mask
             gv = sfft.ifftn(gvh, norm="forward").real
             fluxh = sfft.fftn(ud * gv, norm="forward")
             if dealias:
                 fluxh = fluxh * mask
-            chem += grid.ik[a] * fluxh
+            chem += m.ik[a] * fluxh
         out = out - p.chi * chem
     sqh = sfft.fftn(ud * ud, norm="forward")
     if dealias:
@@ -120,7 +166,7 @@ def full_fft_rhs_hat(uh, grid, p, dealias):
 def full_fft_step(u, grid, p, dt, dealias=True):
     """One exponential-Heun step on the full complex spectrum, without
     the abort checks; returns the new u values."""
-    z = -dt * (1.0 + grid.k2)
+    z = -dt * (1.0 + full_multipliers(grid).k2)
     E = np.exp(z)
     small = np.abs(z) < 1e-4
     zs, zb = z[small], z[~small]
@@ -139,11 +185,6 @@ def full_fft_band_noise(grid, rng, band):
     complex spectrum."""
     white = rng.standard_normal(grid.shape)
     coef = sfft.fftn(white, norm="forward")
-    keep1 = np.abs(np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n))) <= band
-    keep = keep1.reshape([-1] + [1] * (grid.dim - 1))
-    for axis in range(1, grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        keep = keep & keep1.reshape(shape)
+    keep = full_multipliers(grid).modes <= band
     vals = sfft.ifftn(np.where(keep, coef, 0.0), norm="forward").real
     return vals / np.max(np.abs(vals))

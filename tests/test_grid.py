@@ -11,9 +11,10 @@ from kslogistic.grid import (
     gradient,
     laplacian,
     make_grid,
-    to_physical,
     to_spectral,
 )
+
+from oracles import full_multipliers
 
 
 def white_field(grid, seed):
@@ -22,14 +23,42 @@ def white_field(grid, seed):
 
 
 def test_wavenumber_layout_matches_fft_ordering():
-    g = make_grid(1, 8, np.pi)
-    assert_allclose(g.wavenumbers[0], [0, 1, 2, 3, -4, -3, -2, -1], atol=1e-15)
+    # leading axis in FFT order, last axis j = 0 .. n/2; i*k drops Nyquist
+    g = make_grid(2, 8, np.pi)
+    hs = g.half
+    assert_allclose(hs.ik[0][:, 0].imag, [0, 1, 2, 3, 0, -3, -2, -1], atol=1e-15)
+    assert_allclose(hs.ik[1][0, :].imag, [0, 1, 2, 3, 0], atol=1e-15)
+    assert_allclose(hs.k2[:, 0], [0, 1, 4, 9, 16, 9, 4, 1], atol=1e-15)
+    assert_allclose(hs.k2[0, :], [0, 1, 4, 9, 16], atol=1e-15)
+    assert np.array_equal(hs.modes[:, 0], [0, 1, 2, 3, 4, 3, 2, 1])
     assert g.h == pytest.approx(2 * np.pi / 8)
 
 
 def test_max_wavenumber_magnitude():
     g = make_grid(1, 64, 10.0)
-    assert np.max(np.abs(g.wavenumbers[0])) == pytest.approx(np.pi * 32 / 10.0)
+    assert np.sqrt(np.max(g.half.k2)) == pytest.approx(np.pi * 32 / 10.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [8, 12, 24])
+def test_half_layout_is_full_layout_restricted_to_last_axis_half(dim, n):
+    g = make_grid(dim, n, 2.5)
+    hs, full = g.half, full_multipliers(g)
+    cols = (Ellipsis, slice(0, n // 2 + 1))
+    assert np.array_equal(hs.k2, full.k2[cols])
+    assert np.array_equal(hs.ik, np.stack(full.ik)[cols])
+    assert np.array_equal(hs.modes, full.modes[cols])
+    assert np.array_equal(hs.mask, full.mask[cols].astype(float))
+    # the 2/3 band ends exactly at n//3; the Nyquist column is j = n/2,
+    # where the last axis's i*k is zeroed and |k|^2 kept
+    assert np.array_equal(hs.mask == 1.0, hs.modes <= n // 3)
+    assert hs.mask[(0,) * (dim - 1) + (n // 3,)] == 1.0
+    assert hs.mask[(0,) * (dim - 1) + (n // 3 + 1,)] == 0.0
+    assert np.all(hs.modes[..., n // 2] == n // 2)
+    assert np.all(hs.ik[-1][..., n // 2] == 0.0)
+    if dim == 2:
+        assert np.all(hs.ik[0][n // 2, :] == 0.0)
+    assert hs.k2[(0,) * (dim - 1) + (n // 2,)] == (np.pi * (n // 2) / 2.5) ** 2
 
 
 @settings(deadline=None, max_examples=30)
@@ -41,9 +70,9 @@ def test_max_wavenumber_magnitude():
 def test_transform_round_trip(seed, dim, n):
     g = make_grid(dim, n, 3.0)
     f = white_field(g, seed)
-    back = to_physical(to_spectral(f))
+    back = g.irfft(g.rfft(f.values))
     scale = np.max(np.abs(f.values))
-    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * (1 + scale)
+    assert np.max(np.abs(back - f.values)) <= 1e-12 * (1 + scale)
 
 
 @settings(deadline=None, max_examples=30)
@@ -80,7 +109,7 @@ def test_spectral_coefficients_hermitian():
 
 def test_gradient_exact_on_single_mode():
     g = make_grid(1, 64, 5.0)
-    k = g.wavenumbers[0][3]
+    k = full_multipliers(g).k[0][3]
     x = g.axes[0]
     f = Field(g, np.sin(k * x))
     (gx,) = gradient(f)
@@ -107,10 +136,10 @@ def test_divergence_of_gradient_is_laplacian():
     g = make_grid(2, 24, 3.0)
     f = white_field(g, 11)
     # strip Nyquist content first: odd multipliers zero it, -|k|^2 keeps it
-    s = to_spectral(f).coefficients.copy()
+    s = g.rfft(f.values)
     s[g.n // 2, :] = 0.0
     s[:, g.n // 2] = 0.0
-    f = to_physical(SpectralField(g, s))
+    f = Field(g, g.irfft(s))
     lap1 = divergence(gradient(f))
     lap2 = laplacian(f)
     assert np.max(np.abs(lap1.values - lap2.values)) <= 1e-10 * np.max(
@@ -120,8 +149,8 @@ def test_divergence_of_gradient_is_laplacian():
 
 def test_laplacian_exact_on_single_mode():
     g = make_grid(2, 32, 3.0)
-    kx = g.wavenumbers[0][2]
-    ky = g.wavenumbers[1][5]
+    kx = full_multipliers(g).k[0][2]
+    ky = full_multipliers(g).k[1][5]
     X, Y = np.meshgrid(g.axes[0], g.axes[1], indexing="ij")
     f = Field(g, np.cos(kx * X) * np.sin(ky * Y))
     expect = -(kx**2 + ky**2) * f.values
@@ -130,10 +159,10 @@ def test_laplacian_exact_on_single_mode():
 
 def test_dealias_mask_two_thirds_rule():
     g = make_grid(1, 24, 1.0)
-    j = np.rint(np.fft.fftfreq(24, d=1.0 / 24)).astype(int)
-    assert np.array_equal(g.dealias_mask, np.abs(j) <= 8)
+    assert np.array_equal(g.half.mask, (np.arange(13) <= 8).astype(float))
     g2 = make_grid(2, 12, 1.0)
-    assert g2.dealias_mask.sum() == (2 * (12 // 3) + 1) ** 2
+    # 2*4 + 1 leading-axis modes times the 4 + 1 kept half columns
+    assert g2.half.mask.sum() == (2 * (12 // 3) + 1) * (12 // 3 + 1)
 
 
 @pytest.mark.parametrize(
@@ -159,14 +188,6 @@ def test_to_spectral_rejects_non_finite():
     vals[3] = np.nan
     with pytest.raises(NonFiniteFieldError):
         to_spectral(Field(g, vals))
-
-
-def test_to_physical_rejects_non_hermitian():
-    g = make_grid(1, 16, 1.0)
-    c = np.zeros(16, dtype=complex)
-    c[1] = 1.0  # lone mode with no conjugate partner
-    with pytest.raises(ValueError, match="Hermitian"):
-        to_physical(SpectralField(g, c))
 
 
 def test_divergence_rejects_component_mismatch():

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from kslogistic.params import Params
@@ -29,6 +29,9 @@ SPREAD_THRESHOLD_A1_B1_DIM2 = 0.4226497  # 2 / (3 + sqrt(3))
     b0=st.floats(0.05, 4.0),
     t=st.floats(0.0, 12.0),
 )
+# a subnormal growth rate once lost u0 in a0*u0 and returned 0.0
+@example(u0=0.5, a0=5e-324, b0=1.0, t=0.0)
+@example(u0=0.5, a0=-5e-324, b0=1.0, t=0.0)
 def test_logistic_matches_adaptive_integrator(u0, a0, b0, t):
     got = logistic_exact(u0, a0, b0, t)
     sol = solve_ivp(
@@ -53,6 +56,13 @@ def test_logistic_zero_growth_branch():
 
 def test_logistic_zero_initial_state():
     assert logistic_exact(0.0, 2.0, 1.0, 5.0) == 0.0
+
+
+@pytest.mark.parametrize("a0", [1e-310, -1e-310, 5e-324, -5e-324])
+@pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 7.5])
+def test_logistic_tiny_growth_rate_is_the_zero_rate_solution(a0, t):
+    u0, b0 = 0.5, 1.0
+    assert logistic_exact(u0, a0, b0, t) == pytest.approx(u0 / (1 + b0 * u0 * t), rel=1e-15)
 
 
 def test_logistic_large_time_is_overflow_safe():

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from kslogistic.grid import Field, SpectralField, make_grid, to_physical, to_spectral
+from kslogistic.grid import Field, make_grid
 from kslogistic.semigroup import apply_T, apply_T_div, heat_kernel
 
-from oracles import heat_semigroup_1d
+from oracles import full_multipliers, heat_semigroup_1d, smooth_field
 
 # sup of |T(t) d/dx f| / (t^(-1/2) e^(-t)) over the smoothed-square-wave
 # family at t = 0.01, n = 2048, L = 10; tabulated by the brute-force
@@ -16,18 +16,9 @@ from oracles import heat_semigroup_1d
 RAMP_SUP_T001 = 0.563964
 
 
-def smooth_field(grid, seed, kcut=None):
-    rng = np.random.default_rng(seed)
-    c = to_spectral(Field(grid, rng.standard_normal(grid.shape))).coefficients
-    if kcut is None:
-        kcut = 0.5 * np.sqrt(grid.k2.max())
-    c = np.where(grid.k2 <= kcut**2, c, 0.0)
-    return to_physical(SpectralField(grid, c))
-
-
 def test_multiplier_exact_on_single_mode():
     g = make_grid(1, 64, 4.0)
-    k = g.wavenumbers[0][5]
+    k = full_multipliers(g).k[0][5]
     x = g.axes[0]
     out = apply_T(0.3, Field(g, np.cos(k * x)))
     assert_allclose(out.values, np.exp(-0.3 * (1 + k**2)) * np.cos(k * x), atol=1e-13)
