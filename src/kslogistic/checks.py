@@ -16,7 +16,7 @@ unasserted check is information, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -56,13 +56,7 @@ class CheckVerdict:
         object.__setattr__(self, "margin", float(self.margin))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "asserted": self.asserted,
-            "margin": self.margin,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -81,12 +81,12 @@ def _parse_values(text: str) -> list:
 def _cmd_sweep(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     values = _parse_values(args.values)
-    rows = sweep(scenario, args.axis, values, workers=args.workers)
     slug = args.axis.replace(".", "_")
     root = output_root(args.out) / f"{scenario.name}_sweep_{slug}"
     csv_path = root / "sweep.csv"
     if csv_path.exists() and not args.force:
         raise HarnessError(f"{csv_path} exists; pass --force to overwrite")
+    rows = sweep(scenario, args.axis, values, workers=args.workers)
     root.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(rows, args.axis, csv_path)
     all_ok = True

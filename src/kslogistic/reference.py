@@ -22,7 +22,7 @@ spreading speed; it degenerates to the classical pulled-front value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .params import Params
@@ -92,21 +92,7 @@ class RegimeReport:
     thresholds: dict
 
     def to_dict(self) -> dict:
-        return {
-            "params": {
-                "chi": self.params.chi,
-                "a": self.params.a,
-                "b": self.params.b,
-                "dim": self.params.dim,
-            },
-            "global_exists": self.global_exists,
-            "global_bounded": self.global_bounded,
-            "moment_route_bounded": self.moment_route_bounded,
-            "stability": self.stability,
-            "spreading": self.spreading,
-            "max_safe_r": self.max_safe_r,
-            "thresholds": dict(self.thresholds),
-        }
+        return asdict(self)
 
 
 def classify(p: Params) -> RegimeReport:

@@ -5,18 +5,25 @@ required keys, wrong types, and timing grids that do not nest (the
 sample interval must be an integer multiple of dt, and t_end an integer
 multiple of the sample interval).  Parse errors carry line and column.
 
-Each rule lives with the object it constrains: Grid, Params, ICSpec,
-StepControl and DiagnosticsConfig check their own fields, and Scenario
-checks the rules that span sections and normalizes its checks.  A
-Scenario built by hand or by ``with_value`` is therefore held to the
-same rules as a loaded one.
+The sections grid, params, ic, control and diagnostics are the
+constructor fields of Grid, Params, ICSpec, StepControl and
+DiagnosticsConfig: each field's name is a key, its annotation the
+type the loader accepts, and a field without a default a required key.
+params takes no dim; grid.dim sets it.  The echo ``Scenario.to_dict``
+lists the same fields in declaration order.
+
+Each rule lives with the object it constrains: those classes check
+their own fields, and Scenario checks the rules that span sections and
+normalizes its checks.  A Scenario built by hand or by ``with_value``
+is therefore held to the same rules as a loaded one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
@@ -56,10 +63,10 @@ class DiagnosticsConfig:
     """
 
     sample_interval: float
-    front_level: Optional[float] = None
+    front_level: float | None = None
     guard: float = 0.1
     snapshot_every: int = 0
-    equilibrium_radius: Optional[float] = None
+    equilibrium_radius: float | None = None
     cstar_inner_factor: float = 1.5
 
     def __post_init__(self) -> None:
@@ -98,43 +105,70 @@ class Scenario:
 
     def to_dict(self) -> dict:
         """Normalized echo of the configuration (defaults filled in)."""
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "grid": {
-                "dim": self.grid.dim,
-                "n": self.grid.n,
-                "half_width": self.grid.half_width,
-            },
-            "params": {"chi": self.params.chi, "a": self.params.a, "b": self.params.b},
-            "ic": {
-                "kind": self.ic.kind,
-                "amplitude": self.ic.amplitude,
-                "center": list(self.ic.center)
-                if isinstance(self.ic.center, tuple)
-                else self.ic.center,
-                "radius": self.ic.radius,
-                "width": self.ic.width,
-                "floor": self.ic.floor,
-                "seed": self.ic.seed,
-            },
-            "control": {
-                "dt": self.control.dt,
-                "t_end": self.control.t_end,
-                "dealias": self.control.dealias,
-                "negativity_budget": self.control.negativity_budget,
-                "blowup_threshold": self.control.blowup_threshold,
-            },
-            "diagnostics": {
-                "sample_interval": self.diagnostics.sample_interval,
-                "front_level": self.diagnostics.front_level,
-                "guard": self.diagnostics.guard,
-                "snapshot_every": self.diagnostics.snapshot_every,
-                "equilibrium_radius": self.diagnostics.equilibrium_radius,
-                "cstar_inner_factor": self.diagnostics.cstar_inner_factor,
-            },
-            "checks": {k: dict(v) for k, v in self.checks.items()},
-        }
+        out = {"schema_version": self.schema_version, "name": self.name}
+        for sec in _SECTIONS:
+            obj = getattr(self, sec)
+            out[sec] = {k: _echo(getattr(obj, k)) for k in _section_schema(sec)}
+        out["checks"] = {k: dict(v) for k, v in self.checks.items()}
+        return out
+
+
+#: the scenario file's sections and the classes whose constructor
+#: fields are their schemas, in file and echo order
+_SECTIONS = {
+    "grid": Grid,
+    "params": Params,
+    "ic": ICSpec,
+    "control": StepControl,
+    "diagnostics": DiagnosticsConfig,
+}
+
+_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "a boolean"),
+    str: ((str,), "a string"),
+}
+
+
+@cache
+def _fields(cls) -> dict:
+    """Constructor fields of a dataclass in declaration order:
+    name -> (resolved type, required)."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+        if f.init
+    }
+
+
+@cache
+def _section_schema(sec: str) -> dict:
+    """The keys of one section: its class's constructor fields, less
+    params.dim, which grid.dim sets."""
+    return {k: v for k, v in _fields(_SECTIONS[sec]).items() if (sec, k) != ("params", "dim")}
+
+
+def _coerce(val: Any, tp, where: str):
+    """val as a value of the field type tp, else a ScenarioError naming
+    where.  Booleans are not numbers; ints are accepted for floats."""
+    args = get_args(tp)
+    if args:  # float | None, or ICSpec.center: a float or one per axis
+        if val is None and type(None) in args:
+            return None
+        if isinstance(val, list) and tuple in args:
+            return tuple(_coerce(c, float, f"{where}[{i}]") for i, c in enumerate(val))
+        tp = args[0]
+    accepted, noun = _KINDS[tp]
+    if not isinstance(val, accepted) or (isinstance(val, bool) and tp is not bool):
+        raise ScenarioError(f"{where} must be {noun}, got {val!r}")
+    return tp(val)
+
+
+def _echo(val):
+    """A tuple (a per-axis ICSpec.center) echoes as a YAML list."""
+    return list(val) if isinstance(val, tuple) else val
 
 
 def _expect_mapping(value: Any, where: str) -> dict:
@@ -152,41 +186,6 @@ def _check_keys(d: dict, allowed, required, where: str) -> None:
         raise ScenarioError(f"missing required key(s) {missing} in {where}")
 
 
-def _number(d: dict, key: str, where: str, *, default=_REQUIRED, allow_none=False):
-    if key not in d:
-        if default is _REQUIRED:
-            raise ScenarioError(f"missing required key(s) ['{key}'] in {where}")
-        return default
-    val = d[key]
-    if val is None and allow_none:
-        return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number, got {val!r}")
-    return float(val)
-
-
-def _integer(d: dict, key: str, where: str, *, default=_REQUIRED):
-    if key not in d:
-        if default is _REQUIRED:
-            raise ScenarioError(f"missing required key(s) ['{key}'] in {where}")
-        return default
-    val = d[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ScenarioError(f"{where}.{key} must be an integer, got {val!r}")
-    return int(val)
-
-
-def _boolean(d: dict, key: str, where: str, *, default=_REQUIRED):
-    if key not in d:
-        if default is _REQUIRED:
-            raise ScenarioError(f"missing required key(s) ['{key}'] in {where}")
-        return default
-    val = d[key]
-    if not isinstance(val, bool):
-        raise ScenarioError(f"{where}.{key} must be a boolean, got {val!r}")
-    return val
-
-
 def _multiple_of(big: float, small: float, big_name: str, small_name: str) -> int:
     ratio = big / small
     k = round(ratio)
@@ -200,22 +199,9 @@ def _multiple_of(big: float, small: float, big_name: str, small_name: str) -> in
 
 def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
     data = _expect_mapping(data, source)
-    _check_keys(
-        data,
-        allowed=[
-            "schema_version",
-            "name",
-            "grid",
-            "params",
-            "ic",
-            "control",
-            "diagnostics",
-            "checks",
-        ],
-        required=["schema_version", "name", "grid", "params", "ic", "control", "diagnostics"],
-        where=source,
-    )
-    version = _integer(data, "schema_version", source)
+    top = _fields(Scenario)
+    _check_keys(data, top, [k for k in top if k != "checks"], source)
+    version = _coerce(data["schema_version"], int, f"{source}.schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}"
@@ -224,119 +210,24 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"{source}.name must be a nonempty string")
 
-    gd = _expect_mapping(data["grid"], f"{source}.grid")
-    _check_keys(gd, ["dim", "n", "half_width"], ["dim", "n", "half_width"], f"{source}.grid")
-    grid = _build(
-        Grid,
-        f"{source}.grid",
-        dim=_integer(gd, "dim", f"{source}.grid"),
-        n=_integer(gd, "n", f"{source}.grid"),
-        half_width=_number(gd, "half_width", f"{source}.grid"),
-    )
-
-    pd = _expect_mapping(data["params"], f"{source}.params")
-    _check_keys(pd, ["chi", "a", "b"], ["chi", "a", "b"], f"{source}.params")
-    params = _build(
-        Params,
-        f"{source}.params",
-        chi=_number(pd, "chi", f"{source}.params"),
-        a=_number(pd, "a", f"{source}.params"),
-        b=_number(pd, "b", f"{source}.params"),
-        dim=grid.dim,
-    )
-
-    icd = _expect_mapping(data["ic"], f"{source}.ic")
-    _check_keys(
-        icd,
-        ["kind", "amplitude", "center", "radius", "width", "floor", "seed"],
-        ["kind"],
-        f"{source}.ic",
-    )
-    kind = icd["kind"]
-    if not isinstance(kind, str):
-        raise ScenarioError(f"{source}.ic.kind must be a string")
-    center: Any = icd.get("center", 0.0)
-    if isinstance(center, list):
-        center = tuple(
-            _number({"c": c}, "c", f"{source}.ic.center[{i}]") for i, c in enumerate(center)
-        )
-    else:
-        center = _number(icd, "center", f"{source}.ic", default=0.0)
-    ic = _build(
-        ICSpec,
-        f"{source}.ic",
-        kind=kind,
-        amplitude=_number(icd, "amplitude", f"{source}.ic", default=1.0),
-        center=center,
-        radius=_number(icd, "radius", f"{source}.ic", default=1.0),
-        width=_number(icd, "width", f"{source}.ic", default=0.5),
-        floor=_number(icd, "floor", f"{source}.ic", default=0.0),
-        seed=_integer(icd, "seed", f"{source}.ic", default=0),
-    )
-
-    cd = _expect_mapping(data["control"], f"{source}.control")
-    _check_keys(
-        cd,
-        ["dt", "t_end", "dealias", "negativity_budget", "blowup_threshold"],
-        ["dt", "t_end"],
-        f"{source}.control",
-    )
-    control = _build(
-        StepControl,
-        f"{source}.control",
-        dt=_number(cd, "dt", f"{source}.control"),
-        t_end=_number(cd, "t_end", f"{source}.control"),
-        dealias=_boolean(cd, "dealias", f"{source}.control", default=True),
-        negativity_budget=_number(
-            cd, "negativity_budget", f"{source}.control", default=None, allow_none=True
-        ),
-        blowup_threshold=_number(
-            cd, "blowup_threshold", f"{source}.control", default=None, allow_none=True
-        ),
-    )
-
-    dd = _expect_mapping(data["diagnostics"], f"{source}.diagnostics")
-    _check_keys(
-        dd,
-        [
-            "sample_interval",
-            "front_level",
-            "guard",
-            "snapshot_every",
-            "equilibrium_radius",
-            "cstar_inner_factor",
-        ],
-        ["sample_interval"],
-        f"{source}.diagnostics",
-    )
-    diag = _build(
-        DiagnosticsConfig,
-        f"{source}.diagnostics",
-        sample_interval=_number(dd, "sample_interval", f"{source}.diagnostics"),
-        front_level=_number(
-            dd, "front_level", f"{source}.diagnostics", default=None, allow_none=True
-        ),
-        guard=_number(dd, "guard", f"{source}.diagnostics", default=0.1),
-        snapshot_every=_integer(dd, "snapshot_every", f"{source}.diagnostics", default=0),
-        equilibrium_radius=_number(
-            dd, "equilibrium_radius", f"{source}.diagnostics", default=None, allow_none=True
-        ),
-        cstar_inner_factor=_number(
-            dd, "cstar_inner_factor", f"{source}.diagnostics", default=1.5
-        ),
-    )
+    built = {}
+    for sec, cls in _SECTIONS.items():
+        where = f"{source}.{sec}"
+        d = _expect_mapping(data[sec], where)
+        schema = _section_schema(sec)
+        _check_keys(d, schema, [k for k, (_, req) in schema.items() if req], where)
+        kwargs = {k: _coerce(d[k], tp, f"{where}.{k}") for k, (tp, _) in schema.items() if k in d}
+        if cls is Params:
+            kwargs["dim"] = built["grid"].dim
+        built[sec] = _build(cls, where, **kwargs)
 
     return _build(
         Scenario,
         source,
         name=name,
-        grid=grid,
-        params=params,
-        ic=ic,
-        control=control,
-        diagnostics=diag,
         checks=data.get("checks", {}),
         schema_version=version,
+        **built,
     )
 
 
@@ -379,8 +270,12 @@ def normalize_checks(checks) -> dict:
         cfg = {} if cfg is None else _expect_mapping(cfg, where)
         schema = CHECKS[name].schema
         _check_keys(cfg, schema, [k for k, d in schema.items() if d is _REQUIRED], where)
+        # a parameter whose default is None may be set to None
         out[name] = {
-            k: _number(cfg, k, where, default=d, allow_none=d is None) for k, d in schema.items()
+            k: _coerce(cfg[k], float | None if d is None else float, f"{where}.{k}")
+            if k in cfg
+            else d
+            for k, d in schema.items()
         }
     return out
 
@@ -418,9 +313,6 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
         "ic": scenario.ic,
     }
 
-    def init_fields(obj) -> set:
-        return {f.name for f in fields(obj) if f.init}
-
     if "." in axis:
         sec_name, _, fname = axis.partition(".")
         if sec_name not in sections:
@@ -429,7 +321,7 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
             )
         hits = [(sec_name, fname)]
     else:
-        hits = [(sname, axis) for sname, obj in sections.items() if axis in init_fields(obj)]
+        hits = [(sname, axis) for sname, obj in sections.items() if axis in _fields(type(obj))]
         if len(hits) > 1:
             raise ScenarioError(
                 f"axis {axis!r} is ambiguous across sections "
@@ -439,7 +331,7 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
         raise ScenarioError(f"axis {axis!r} does not name a scenario field")
     sec_name, fname = hits[0]
     obj = sections[sec_name]
-    if fname not in init_fields(obj):
+    if fname not in _fields(type(obj)):
         raise ScenarioError(f"axis {axis!r}: {sec_name} has no field {fname!r}")
     current = getattr(obj, fname)
     if isinstance(current, bool) or (

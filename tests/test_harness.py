@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kslogistic import harness
 from kslogistic.cli import main
 from kslogistic.harness import (
     CSV_COLUMNS,
@@ -39,6 +40,28 @@ TINY = {
     "diagnostics": {"sample_interval": 0.1},
     "checks": {"sandwich": {}, "mass_growth": {"r": 1.0, "tol": 1e-6}},
 }
+
+
+# every section key of the scenario file, by the kind of value it takes
+NUMBER_KEYS = [
+    "grid.half_width", "params.chi", "params.a", "params.b",
+    "ic.amplitude", "ic.center", "ic.radius", "ic.width", "ic.floor",
+    "control.dt", "control.t_end", "control.negativity_budget",
+    "control.blowup_threshold", "diagnostics.sample_interval",
+    "diagnostics.front_level", "diagnostics.guard",
+    "diagnostics.equilibrium_radius", "diagnostics.cstar_inner_factor",
+]
+INTEGER_KEYS = ["grid.dim", "grid.n", "ic.seed", "diagnostics.snapshot_every"]
+OTHER_KEYS = ["control.dealias", "ic.kind"]
+NULLABLE_KEYS = {
+    "diagnostics.front_level", "diagnostics.equilibrium_radius",
+    "control.negativity_budget", "control.blowup_threshold",
+}
+WRONG_KIND = (
+    [(key, bad) for key in NUMBER_KEYS for bad in ("1.0", True)]
+    + [(key, bad) for key in INTEGER_KEYS for bad in ("1", True, 2.5)]
+    + [("control.dealias", 1), ("ic.kind", 3)]
+)
 
 
 def tiny(**patch) -> Scenario:
@@ -92,6 +115,35 @@ class TestSchema:
     def test_number_field_rejects_bool(self):
         with pytest.raises(ScenarioError, match="chi"):
             tiny(params={"chi": True})
+
+    def test_key_tables_cover_every_section_key(self):
+        echo = tiny().to_dict()
+        keys = {f"{sec}.{key}" for sec, body in echo.items()
+                if sec != "checks" and isinstance(body, dict) for key in body}
+        assert keys == set(NUMBER_KEYS + INTEGER_KEYS + OTHER_KEYS)
+
+    @pytest.mark.parametrize("key, bad", WRONG_KIND)
+    def test_wrong_kind_is_named_per_key(self, key, bad):
+        sec, name = key.split(".")
+        with pytest.raises(ScenarioError, match=rf"^scenario\.{sec}\.{name} must be"):
+            tiny(**{sec: {name: bad}})
+
+    @pytest.mark.parametrize("key", NUMBER_KEYS + INTEGER_KEYS + OTHER_KEYS)
+    def test_null_only_where_the_field_is_optional(self, key):
+        sec, name = key.split(".")
+        if key in NULLABLE_KEYS:
+            assert getattr(getattr(tiny(**{sec: {name: None}}), sec), name) is None
+        else:
+            with pytest.raises(ScenarioError, match=rf"^scenario\.{sec}\.{name} must be"):
+                tiny(**{sec: {name: None}})
+
+    def test_type_errors_name_the_value(self):
+        with pytest.raises(ScenarioError) as err:
+            tiny(ic={"center": [0.0, "a"]})
+        assert str(err.value) == "scenario.ic.center[1] must be a number, got 'a'"
+        with pytest.raises(ScenarioError) as err:
+            tiny(ic={"kind": 3})
+        assert str(err.value) == "scenario.ic.kind must be a string, got 3"
 
     def test_sample_interval_must_divide_evenly(self):
         with pytest.raises(ScenarioError, match="sample_interval"):
@@ -439,6 +491,16 @@ class TestCli:
         csv_path = tmp_path / "out" / "tiny_sweep_params_chi" / "sweep.csv"
         assert csv_path.is_file()
         assert len(csv_path.read_text().splitlines()) == 3
+
+    def test_sweep_refuses_overwrite_before_running(self, tmp_path, monkeypatch):
+        path = self.write_tiny(tmp_path)
+        cmd = ["sweep", str(path), "--axis", "params.chi", "--values", "0.3",
+               "--out", str(tmp_path / "out")]
+        assert main(cmd) == 0
+        calls = []
+        monkeypatch.setattr(harness, "_sweep_one", lambda sc: calls.append(sc))
+        assert main(cmd) == 2
+        assert calls == []
 
     def test_failing_run_exits_nonzero(self, tmp_path):
         data = json.loads(json.dumps(TINY))
