@@ -63,7 +63,7 @@ def _cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     report, paths = run_experiment(scenario, outdir=args.out, force=args.force)
     if args.json:
-        print(report.to_json())
+        print(paths["report"].read_text(), end="")
     else:
         _print_report(report, paths)
     return 0 if report.ok else 1

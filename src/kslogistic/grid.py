@@ -131,11 +131,10 @@ class Grid:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 4, got {self.n}")
-        if not (np.isfinite(self.half_width) and self.half_width > 0):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-
         L = float(self.half_width)
         h = 2.0 * L / self.n
+        if not (np.isfinite(h) and L > 0):
+            raise ValueError(f"half_width must be positive, got {self.half_width}")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "axes", tuple(-L + h * np.arange(self.n) for _ in range(self.dim)))
 

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -96,9 +96,11 @@ class Report:
     events: list
     speed: Optional[dict]
     abort: Optional[dict]
+    # each {"t": float, "u": array, "v": array}, the arrays read-only
     snapshots: list = field(default_factory=list)
     wall_time: float = 0.0
     version: str = __version__
+    _snapshot_reprs: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -119,16 +121,38 @@ class Report:
             "events": self.events,
             "times": self.times,
             "series": self.series,
-            "snapshots": self.snapshots,
+            "snapshots": [{**s, "u": np.asarray(s["u"]).tolist(), "v": np.asarray(s["v"]).tolist()}
+                          for s in self.snapshots],
         }
         if include_wall_time:
             out["wall_time"] = self.wall_time
         return out
 
     def to_json(self, include_wall_time: bool = True) -> str:
-        return json.dumps(
-            _jsonable(self.to_dict(include_wall_time)), indent=2
-        )
+        """json.dumps(_jsonable(to_dict()), indent=2), with the snapshot
+        arrays laid out the same way from their cached value strings."""
+        text = json.dumps(_jsonable(replace(self, snapshots=[]).to_dict(include_wall_time)), indent=2)
+        # only a top-level key starts a line with two spaces of indent
+        head, key, tail = text.partition('\n  "snapshots": []')
+        items = []
+        for snap, reprs in zip(self.snapshots, self._reprs()):
+            fields = [f'"t": {json.dumps(_jsonable(snap["t"]))}']
+            for name, strs in zip("uv", reprs):
+                a = np.asarray(snap[name], dtype=float)
+                if not np.isfinite(a).all():
+                    strs = np.where(np.isfinite(a).ravel(), strs, "null").tolist()
+                fields.append(f'"{name}": {_json_array(strs, a.shape, 3)}')
+            items.append(_json_items(fields, 2, "{}"))
+        return f'{head}{key.removesuffix("[]")}{_json_items(items, 1)}{tail}'
+
+    def _reprs(self) -> list:
+        """Per snapshot, the flat float reprs of u and v, made once for report.json and the tables."""
+        if self._snapshot_reprs is None:
+            self._snapshot_reprs = [
+                [list(map(float.__repr__, np.asarray(s[k], dtype=float).ravel().tolist())) for k in "uv"]
+                for s in self.snapshots
+            ]
+        return self._snapshot_reprs
 
 
 def _jsonable(obj):
@@ -140,6 +164,31 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
+
+
+def _json_items(items: list, depth: int, brackets: str = "[]") -> str:
+    """Rendered items in a container at `depth`, laid out as json.dumps(indent=2) does."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _json_array(strs: list, shape: tuple, depth: int) -> str:
+    """Nested lists of an array of this shape from its flat C-order value strings."""
+    if len(shape) == 1:
+        return _json_items(strs, depth)
+    size = math.prod(shape[1:])
+    rows = [_json_array(strs[i * size:(i + 1) * size], shape[1:], depth + 1) for i in range(shape[0])]
+    return _json_items(rows, depth)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """Read-only snapshot values; the t = 0 state may share realize's arrays."""
+    if values.flags.writeable:
+        values = values.copy()
+        values.flags.writeable = False
+    return values
 
 
 def run(scenario: Scenario) -> Report:
@@ -222,13 +271,7 @@ def run(scenario: Scenario) -> Report:
                 warned.add(kind)
                 rec.events.append({"t": t, "kind": f"dt_advisory_{kind}", "message": msg})
         if diag.snapshot_every and i % diag.snapshot_every == 0:
-            snapshots.append(
-                {
-                    "t": t,
-                    "u": u.values.tolist(),
-                    "v": v.values.tolist(),
-                }
-            )
+            snapshots.append({"t": t, "u": _frozen(u.values), "v": _frozen(v.values)})
 
     trace = FrontTrace(
         times=np.asarray(rec.times),
@@ -334,23 +377,18 @@ def emit_plot_data(report: Report, plots_dir, force: bool = False) -> dict:
         series_files[label] = fname
 
     snapshot_files = []
-    for k, snap in enumerate(report.snapshots):
+    xs = list(map(float.__repr__, g.axes[0].tolist()))
+    if dim == 2:
+        ys = list(map(float.__repr__, g.axes[1].tolist()))
+        xs = [f"{x} {y}" for x in xs for y in ys]
+    for k, (snap, (u, v)) in enumerate(zip(report.snapshots, report._reprs())):
         fname = f"snapshot_{k:04d}.dat"
-        # Python floats: their repr parses back to the same double
-        u = np.asarray(snap["u"]).tolist()
-        v = np.asarray(snap["v"]).tolist()
-        xs = g.axes[0].tolist()
-        lines = [f"# t = {float(snap['t'])!r}"]
-        if dim == 1:
-            lines.append("# x u v")
-            lines += [f"{x!r} {uu!r} {vv!r}" for x, uu, vv in zip(xs, u, v)]
-        else:
-            lines.append("# x y u v")
-            ys = g.axes[1].tolist()
-            for x, urow, vrow in zip(xs, u, v):
-                lines += [f"{x!r} {y!r} {uu!r} {vv!r}" for y, uu, vv in zip(ys, urow, vrow)]
-                lines.append("")
-        (plots_dir / fname).write_text("\n".join(lines) + "\n")
+        rows = list(map(" ".join, zip(xs, u, v)))
+        if dim == 2:  # gnuplot blocks: a blank line closes each x
+            for i in range(g.n - 1, len(rows), g.n):
+                rows[i] += "\n"
+        head = f"# t = {float(snap['t'])!r}\n# {'x y' if dim == 2 else 'x'} u v\n"
+        (plots_dir / fname).write_text(head + "\n".join(rows) + "\n")
         snapshot_files.append({"t": snap["t"], "file": fname})
 
     manifest = {

@@ -20,6 +20,7 @@ is therefore held to the same rules as a loaded one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
@@ -188,7 +189,7 @@ def _check_keys(d: dict, allowed, required, where: str) -> None:
 
 def _multiple_of(big: float, small: float, big_name: str, small_name: str) -> int:
     ratio = big / small
-    k = round(ratio)
+    k = round(ratio) if math.isfinite(ratio) else 0
     if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
         raise ScenarioError(
             f"{big_name} ({big}) must be a positive integer multiple of "

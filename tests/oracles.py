@@ -5,9 +5,13 @@ resolvents and semigroups are evaluated by quadrature against explicit
 kernels, time integration by a plain fourth-order Runge-Kutta loop on
 the semi-discrete system, and the stepper and noise builder are also
 kept in their original full complex-FFT form, on the dense multipliers
-of ``full_multipliers``.
+of ``full_multipliers``.  The report writers are kept in their original
+form too: a pure ``json.dumps`` of the report dict, and snapshot tables
+formatted value by value with f-strings.
 """
 
+import json
+import math
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -15,7 +19,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad
 
-from kslogistic.grid import Field
+from kslogistic.grid import Field, make_grid
 
 TAIL = 45.0  # exp(-45) ~ 3e-20, far below every tolerance used
 
@@ -188,3 +192,48 @@ def full_fft_band_noise(grid, rng, band):
     keep = full_multipliers(grid).modes <= band
     vals = sfft.ifftn(np.where(keep, coef, 0.0), norm="forward").real
     return vals / np.max(np.abs(vals))
+
+
+def _jsonable(obj):
+    """Recursively replace non-finite floats with None; JSON has no nan."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def report_json(report, include_wall_time=True):
+    """report.json's text as json.dumps(indent=2) of the report dict."""
+    return json.dumps(
+        _jsonable(report.to_dict(include_wall_time)), indent=2
+    )
+
+
+def snapshot_tables(report):
+    """{file name: text} of the plots/snapshot_*.dat tables, each value
+    formatted on its own by an f-string."""
+    sc = report.scenario
+    dim = sc["grid"]["dim"]
+    g = make_grid(dim, sc["grid"]["n"], sc["grid"]["half_width"])
+    tables = {}
+    for k, snap in enumerate(report.snapshots):
+        fname = f"snapshot_{k:04d}.dat"
+        # Python floats: their repr parses back to the same double
+        u = np.asarray(snap["u"]).tolist()
+        v = np.asarray(snap["v"]).tolist()
+        xs = g.axes[0].tolist()
+        lines = [f"# t = {float(snap['t'])!r}"]
+        if dim == 1:
+            lines.append("# x u v")
+            lines += [f"{x!r} {uu!r} {vv!r}" for x, uu, vv in zip(xs, u, v)]
+        else:
+            lines.append("# x y u v")
+            ys = g.axes[1].tolist()
+            for x, urow, vrow in zip(xs, u, v):
+                lines += [f"{x!r} {y!r} {uu!r} {vv!r}" for y, uu, vv in zip(ys, urow, vrow)]
+                lines.append("")
+        tables[fname] = "\n".join(lines) + "\n"
+    return tables

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,30 @@ class TestSchema:
     def test_t_end_must_be_sample_multiple(self):
         with pytest.raises(ScenarioError, match="t_end"):
             tiny(control={"dt": 0.01, "t_end": 0.55})
+
+    @pytest.mark.parametrize(
+        "control, big, small",
+        [
+            ({"dt": 0.01, "t_end": 1.0e308}, "t_end", "sample_interval"),
+            ({"dt": 1.0e-320, "t_end": 0.5}, "sample_interval", "dt"),
+        ],
+        ids=["t_end/sample_interval", "sample_interval/dt"],
+    )
+    def test_overflowing_timing_ratio_names_both_keys(self, control, big, small):
+        with pytest.raises(ScenarioError, match=rf"{big} \(.* multiple of {small} \("):
+            tiny(control=control)
+
+    def test_overflowing_grid_spacing_rejected_on_load(self, tmp_path):
+        import yaml
+
+        data = json.loads(json.dumps(TINY))
+        data["grid"]["half_width"] = 1.0e308
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match=r"grid: half_width must be positive, got 1e\+308"):
+                load_scenario(path)
 
     def test_zero_growth_needs_explicit_front_level(self):
         with pytest.raises(ScenarioError, match="front_level"):
@@ -471,6 +496,22 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["scenario"]["name"] == "tiny"
+
+    def test_run_json_prints_the_written_report(self, tmp_path, capsys):
+        path = self.write_tiny(tmp_path)
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), "--json"]) == 0
+        written = (tmp_path / "o" / "tiny" / "report.json").read_text()
+        assert capsys.readouterr().out == written
+
+    def test_run_rejects_overflowing_t_end(self, tmp_path, capsys):
+        data = json.loads(json.dumps(TINY))
+        data["control"]["t_end"] = 1.0e308
+        path = tmp_path / "long.yaml"
+        import yaml
+
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "t_end" in capsys.readouterr().err
 
     def test_run_missing_file_is_error_exit(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2
