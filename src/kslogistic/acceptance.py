@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .checks import CHECKS, RunRecord
 from .diagnostics import (
     FrontTrace,
     TimeSeries,
@@ -37,7 +38,7 @@ from .harness import run
 from .helmholtz import grad_potential, solve
 from .icfactory import band_limited_noise
 from .params import Params
-from .reference import upper_envelope
+from .reference import classify, upper_envelope
 from .scenario import bundled_scenario_names, bundled_scenario_path, load_scenario, scenario_from_dict
 from .semigroup import apply_T, apply_T_div
 from .stepper import StepControl, initial_state, step
@@ -415,6 +416,18 @@ def crit_mutation_sanity():
     )
     rep = run(doomed)
     record("abort_detection", rep.abort is not None and not rep.ok)
+
+    # sup u over the envelope by 0.9 of the check's slack must pass and
+    # by 1.1 of it must fail, so the slack can be neither widened nor
+    # narrowed; the slack is tol * (1 + m0)
+    m0, tol, pd = 3.0, CHECKS["envelope"].schema["tol"], doomed.params
+
+    def envelope_passes(excess):
+        linf = [m0] + [upper_envelope(s, m0, pd) + excess * tol * (1.0 + m0) for s in t[1:]]
+        rec = RunRecord(doomed, classify(pd), {"linf": linf}, list(t))
+        return CHECKS["envelope"]({"tol": tol}).verdict(rec).passed
+
+    record("envelope", envelope_passes(0.9) and not envelope_passes(1.1))
 
     passed = not missed
     detail = f"{len(caught)}/{len(caught) + len(missed)} corruptions caught"

@@ -160,10 +160,12 @@ class Grid:
         return sfft.rfft2(values, norm="forward")
 
     def irfft(self, coef: np.ndarray) -> np.ndarray:
-        """Inverse of ``rfft``, batched over leading axes the same way."""
+        """Inverse of ``rfft``, batched over leading axes the same way.
+        n is even, so scipy's default length 2 (m - 1) from m = n/2 + 1
+        coefficients is n; passing it again costs a shape check per call."""
         if self.dim == 1:
-            return sfft.irfft(coef, n=self.n, norm="forward")
-        return sfft.irfft2(coef, s=self.shape, norm="forward")
+            return sfft.irfft(coef, norm="forward")
+        return sfft.irfft2(coef, norm="forward")
 
     def apply(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         """Real field (or batch) times a half-spectrum multiplier (or a

@@ -14,6 +14,10 @@ logistic flow and the scheme is exact on the linear problem.  Quadratic
 products are formed in physical space from 2/3-rule truncated factors
 and truncated again afterwards.
 
+A step's last inverse transform also makes the factors of the next
+step's first F(u), which the state carries.  A later step makes 4
+transform calls, a step from a fresh state 6.
+
 Runs abort (they never clamp) when a step goes non-finite, dips below
 the negativity budget, or crosses the blow-up threshold.
 """
@@ -99,12 +103,15 @@ class StepControl:
 
 class State:
     """Solution snapshot.  v is always exactly the resolvent of u; when
-    not given, it is formed on first read.  ``step`` also passes uh, the
-    half-spectrum of u that the next step starts from, and makes the
-    state's arrays read-only so that uh stays in step with u."""
+    not given, it is formed on first read.  ``step`` also leaves what the
+    next step starts from: uh, the half-spectrum of u, and _factors, a
+    pair (synth, values) of the next F(u)'s factors, used only by a plan
+    with that very synth.  Its arrays are read-only, so they stay in step
+    with u, and u owns its memory, so a kept u pins no factors."""
 
     def __init__(self, t: float, u: Field, v: Field | None = None, step_count: int = 0, uh=None):
         self.t, self.u, self.step_count, self._v, self._uh = t, u, step_count, v, uh
+        self._factors = None
 
     @property
     def v(self) -> Field:
@@ -123,9 +130,18 @@ def initial_state(u0: Field) -> State:
 
 
 @lru_cache(maxsize=8)
-def _propagators(grid: Grid, dt: float):
-    """E = exp(-dt (1 + |k|^2)), dt phi1 and half of it, on the half-spectrum."""
-    z = -dt * (1.0 + grid.half.k2)
+def _plan(grid: Grid, dt: float, b: float, chi: float, dealias: bool):
+    """What a step multiplies by, on the half-spectrum, as the tuple
+    (E, dt phi1, dt phi1 / 2, synth, weights).
+
+    E = exp(-dt (1 + |k|^2)).  synth makes the factors of the products
+    before their inverse transform (u, then grad v if chi != 0);
+    weights takes the products after their forward transform (b on
+    u^2, then chi i k_i on each flux).  Both are 2/3-masked with
+    dealias.
+    """
+    hs = grid.half
+    z = -dt * (1.0 + hs.k2)
     E = np.exp(z)
     phi1 = np.empty_like(z)
     small = np.abs(z) < 1e-4
@@ -134,67 +150,84 @@ def _propagators(grid: Grid, dt: float):
     phi1[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
     zb = z[~small]
     phi1[~small] = np.expm1(zb) / zb
-    return E, dt * phi1, 0.5 * dt * phi1
-
-
-@lru_cache(maxsize=8)
-def _product_stacks(grid: Grid, b: float, chi: float, dealias: bool):
-    """What _rhs_hat multiplies before its inverse transform (u, then
-    grad v if chi != 0) and after its forward transform (b on u^2, then
-    chi i k_i on each flux), 2/3-masked with dealias."""
-    hs = grid.half
     mask = hs.mask if dealias else np.ones_like(hs.mask)
     synth = [mask]
     weights = [b * mask]
     if chi != 0.0:
         synth += list(hs.masked_grad_resolvent if dealias else hs.grad_resolvent)
         weights += list(chi * mask * hs.ik)
-    return np.stack(synth), np.stack(weights)
+    plan = (E, dt * phi1, 0.5 * dt * phi1, np.stack(synth), np.stack(weights))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
-def _rhs_hat(uh: np.ndarray, g: Grid, p: Params, dealias: bool) -> np.ndarray:
-    """Half-spectrum of F(u) = -chi div(u grad v) + (a+1) u - b u^2.
+def _rhs(g: Grid, uh: np.ndarray, phys: np.ndarray, weights: np.ndarray, a1: float) -> np.ndarray:
+    """Half-spectrum of F(u) = -chi div(u grad v) + (a+1) u - b u^2,
+    with a1 = a + 1, from uh and phys, the factors in physical space.
 
-    u and, when chi != 0, the components of grad v go to physical space
-    in one batched inverse transform; u^2 and the fluxes u dv/dx_i come
-    back in one batched forward transform.  With dealias, factors and
-    products are both truncated by the 2/3 rule.
+    The products u^2 and u dv/dx_i come back in one batched forward
+    transform.  In-place operations keep the operand order of
+    a1 uh - np.sum(weights prods, axis=0), so the bits do not change;
+    the rows are added in order, as that sum does, without its
+    reduction overhead.
     """
-    synth, weights = _product_stacks(g, p.b, p.chi, dealias)
-    phys = g.irfft(synth * uh)
     prods = g.rfft(phys * phys[0])
-    return (p.a + 1.0) * uh - np.sum(weights * prods, axis=0)
+    np.multiply(weights, prods, out=prods)
+    out = a1 * uh
+    out -= sum(prods[1:], prods[0])
+    return out
 
 
 def nonlinearity(u: Field, p: Params, dealias: bool = True) -> Field:
     """F(u) as a physical field, v solved internally."""
     g = u.grid
-    return Field(g, g.irfft(_rhs_hat(g.rfft(u.values), g, p, dealias)))
+    # dt = 0: F reads only the product stacks of the plan
+    _, _, _, synth, weights = _plan(g, 0.0, p.b, p.chi, dealias)
+    uh = g.rfft(u.values)
+    return Field(g, g.irfft(_rhs(g, uh, g.irfft(synth * uh), weights, p.a + 1.0)))
 
 
 def step(state: State, p: Params, control: StepControl) -> State:
     """Advance one dt.  Budgets must already be resolved (not None).
 
-    The update runs on the half-spectrum; the one inverse transform of
-    the new u feeds a single min and max, which decide the aborts in
-    order: non-finite, negativity, blow-up.
+    The update runs on the half-spectrum.  One batched inverse
+    transform ends the step: its first row is the new u, whose single
+    min and max decide the aborts in order (non-finite, negativity,
+    blow-up); the other rows are the factors of the next step's first
+    evaluation of F.
     """
     g = state.u.grid
     if p.dim != g.dim:
         raise ValueError(f"params.dim={p.dim} does not match grid dim {g.dim}")
     if control.negativity_budget is None or control.blowup_threshold is None:
         control = control.resolved(state.u, p)
-    dt, dealias = control.dt, control.dealias
-    E, P, half_P = _propagators(g, dt)
+    E, P, half_P, synth, weights = _plan(g, control.dt, p.b, p.chi, control.dealias)
+    a1 = p.a + 1.0
 
     uh = state._uh if state._uh is not None else g.rfft(state.u.values)
-    fn = _rhs_hat(uh, g, p, dealias)
+    made_by, phys = state._factors or (None, None)
+    if made_by is not synth:
+        phys = g.irfft(synth * uh)
+    fn = _rhs(g, uh, phys, weights, a1)
     Eu = E * uh
-    fp = _rhs_hat(Eu + P * fn, g, p, dealias)
-    newh = Eu + half_P * (fn + fp)
+    pred = P * fn
+    pred += Eu
+    fp = _rhs(g, pred, g.irfft(synth * pred), weights, a1)
+    newh = fn
+    newh += fp
+    np.multiply(half_P, newh, out=newh)
+    newh += Eu
 
-    t_new = state.t + dt
-    u_new = g.irfft(newh)
+    # row 0 is newh itself, not 1 * newh, which would turn an infinite
+    # coefficient's zero imaginary part into NaN
+    rows = np.empty((len(synth) + 1,) + newh.shape, dtype=newh.dtype)
+    rows[0] = newh
+    np.multiply(synth, newh, out=rows[1:])
+    out = g.irfft(rows)
+    u_new, factors = out[0].copy(), out[1:]
+
+    t_new = state.t + control.dt
     # min and max propagate NaN and reach any infinity
     lo = float(u_new.min())
     hi = float(u_new.max())
@@ -218,8 +251,10 @@ def step(state: State, p: Params, control: StepControl) -> State:
             t=t_new,
             value=amp,
         )
-    u_new.flags.writeable = False
-    return State(t=t_new, u=Field(g, u_new), step_count=state.step_count + 1, uh=newh)
+    u_new.flags.writeable = newh.flags.writeable = factors.flags.writeable = False
+    new = State(t=t_new, u=Field(g, u_new), step_count=state.step_count + 1, uh=newh)
+    new._factors = (synth, factors)
+    return new
 
 
 def stability_warnings(state: State, p: Params, control: StepControl) -> list[tuple[str, str]]:

@@ -32,11 +32,14 @@ SPREAD_THRESHOLD_A1_B1_DIM2 = 0.4226497  # 2 / (3 + sqrt(3))
 # a subnormal growth rate once lost u0 in a0*u0 and returned 0.0
 @example(u0=0.5, a0=5e-324, b0=1.0, t=0.0)
 @example(u0=0.5, a0=-5e-324, b0=1.0, t=0.0)
+# a tiny u0 that grows a millionfold: an absolute tolerance near u0
+# once made the integrator, not the closed form, miss by 2e-6 relative
+@example(u0=1e-08, a0=2.0, b0=1.0, t=7.0)
 def test_logistic_matches_adaptive_integrator(u0, a0, b0, t):
     got = logistic_exact(u0, a0, b0, t)
     sol = solve_ivp(
         lambda _, y: y * (a0 - b0 * y), (0.0, max(t, 1e-12)), [u0],
-        rtol=1e-11, atol=1e-13, method="RK45", dense_output=True,
+        rtol=1e-11, atol=1e-20, method="RK45", dense_output=True,
     )
     expect = float(sol.sol(t)[0])
     assert got == pytest.approx(expect, rel=1e-7, abs=1e-8)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kslogistic.checks import SpreadingLimits
 from kslogistic.grid import Field, NonFiniteFieldError, divergence, make_grid
+from kslogistic.harness import run
 from kslogistic.helmholtz import grad_potential, solve
 from kslogistic.params import Params
 from kslogistic.reference import logistic_exact
+from kslogistic.scenario import scenario_from_dict
 from kslogistic.stepper import (
     BlowupError,
     NegativityError,
@@ -300,6 +303,21 @@ def test_non_finite_mid_run_rejected(bad):
         step(s, p, StepControl(**_TIGHT))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1])
+def test_non_finite_carried_factors_rejected(bad, row):
+    s, _ = _stepped(0.5, True)
+    # corrupt the factors the next step starts from: u, then grad v
+    synth, factors = s._factors
+    factors = factors.copy()
+    factors[row, 7] = bad
+    s._factors = (synth, factors)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    with pytest.raises(NonFiniteFieldError, match="step 11"):
+        step(s, p, StepControl(**_TIGHT))
+
+
 def test_non_finite_overflow_mid_run_rejected():
     # unchecked exponential growth overflows on the eighth step; neither
     # budget can fire on a finite value before that
@@ -349,16 +367,107 @@ def _count_transforms(monkeypatch):
 
 @pytest.mark.parametrize("dim, n, expect", [(1, 128, 9), (2, 32, 13)])
 def test_transforms_per_step_with_chemotaxis(monkeypatch, dim, n, expect):
+    # a later step starts from the carried factors; a step from a fresh
+    # state also transforms u0 and then makes those factors (1 + dim)
     g, u0 = _initial(dim, n, 8.0)
     p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
     c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
-    s = step(initial_state(u0), p, c)  # the first step also transforms u0
     calls = _count_transforms(monkeypatch)
+    s = step(initial_state(u0), p, c)
+    assert len(calls) == 6
+    assert sum(k for _, k in calls) == expect + 1 + (1 + dim)
+    calls.clear()
     s = step(s, p, c)
     assert sum(k for _, k in calls) == expect
     assert all(name.startswith(("rfft", "irfft")) for name, _ in calls)
-    assert len(calls) == 5
+    assert len(calls) == 4
     calls.clear()
     s.v  # v is formed on first read, with one more inverse transform
     s.v
     assert calls == [("irfft" if dim == 1 else "irfft2", 1)]
+
+
+# -- the factors a step carries for the next one --------------------------
+
+
+def _stepped(chi, dealias, nsteps=10):
+    g, u0 = _initial(1, 64, 8.0)
+    p = Params(chi=chi, a=1.0, b=1.0, dim=1)
+    c = StepControl(dt=0.01, t_end=1.0, dealias=dealias).resolved(u0, p)
+    s = initial_state(u0)
+    for _ in range(nsteps):
+        s = step(s, p, c)
+    return s, c
+
+
+@pytest.mark.parametrize(
+    "chi, dealias, next_chi, next_dealias",
+    [(0.5, True, 0.3, True), (0.5, True, 0.5, False), (0.0, True, 0.5, True), (0.5, False, 0.0, True)],
+)
+def test_foreign_carried_factors_are_not_used(chi, dealias, next_chi, next_dealias):
+    # factors made under other params must not leak into the next step:
+    # it must match, bit for bit, the same state without them
+    s, c = _stepped(chi, dealias)
+    p = Params(chi=next_chi, a=1.0, b=1.0, dim=1)
+    c = StepControl(dt=c.dt, t_end=c.t_end, dealias=next_dealias).resolved(s.u, p)
+    bare = State(t=s.t, u=s.u, step_count=s.step_count, uh=s._uh)
+    for _ in range(3):
+        s, bare = step(s, p, c), step(bare, p, c)
+        assert np.array_equal(s.u.values, bare.u.values)
+        assert np.array_equal(s._uh, bare._uh)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+def test_steps_without_carried_factors_give_the_same_bits(dim, n):
+    # dropping the factors before every step makes each step transform
+    # uh itself; the carried factors must give the same bits
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
+    c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
+    carried = bare = initial_state(u0)
+    for _ in range(5):
+        carried = step(carried, p, c)
+        bare = step(bare, p, c)
+        assert bare._factors is not None
+        bare._factors = None
+    assert carried._factors is not None
+    assert np.array_equal(carried.u.values, bare.u.values)
+    assert np.array_equal(carried._uh, bare._uh)
+
+
+def test_u_does_not_share_memory_with_carried_factors():
+    s, _ = _stepped(0.5, True)
+    synth, factors = s._factors
+    assert not np.shares_memory(s.u.values, factors)
+    assert s.u.values.base is None  # a kept u pins no larger block
+    assert not s.u.values.flags.writeable
+    assert not factors.flags.writeable
+    assert not s._uh.flags.writeable
+    assert factors.shape == (len(synth),) + s.u.values.shape
+
+
+def test_stored_values_do_not_pin_the_factor_block(monkeypatch):
+    sc = scenario_from_dict(
+        {
+            "schema_version": 1,
+            "name": "kept",
+            "grid": {"dim": 1, "n": 64, "half_width": 10.0},
+            "params": {"chi": 0.3, "a": 1.0, "b": 1.0},
+            "ic": {"kind": "gaussian", "amplitude": 1.0, "width": 1.5},
+            "control": {"dt": 0.01, "t_end": 0.5},
+            "diagnostics": {"sample_interval": 0.1, "snapshot_every": 2},
+            "checks": {"spreading_limits": {}},
+        }
+    )
+    kept = []
+    observe = SpreadingLimits.observe
+
+    def spy(self, t, u, v, record):
+        kept.append(u.values)
+        observe(self, t, u, v, record)
+
+    monkeypatch.setattr(SpreadingLimits, "observe", spy)
+    rep = run(sc)
+    stored = kept[1:] + [snap["u"] for snap in rep.snapshots[1:]]
+    assert len(stored) == 5 + 2
+    assert all(vals.base is None for vals in stored)
