@@ -3,24 +3,30 @@
 Each criterion is a function returning (passed, detail).  run_all and
 run_one time them, fold stated runtime budgets into the verdicts, and
 share one cache of bundled-scenario runs so a report is computed once
-no matter how many criteria read it.
+no matter how many criteria read it.  Each criterion declares in READS
+the bundled runs it reads; run_all computes those on a process pool
+while the criteria that read none run, and run_one computes a run in
+process when a criterion first asks for it.
 
 The checks deliberately cross-validate along independent routes: the
-elliptic solve against closed-form eigenfunctions and against adaptive
-kernel quadrature, the semigroup against operator-norm inequalities,
-the full nonlinear runs against comparison bounds and measured front
-kinematics, and finally every checker against corrupted inputs that it
-must reject.
+elliptic solve against closed-form eigenfunctions and against
+Gauss-Legendre quadrature of the exponential kernel, the semigroup
+against operator-norm inequalities, the full nonlinear runs against
+comparison bounds and measured front kinematics, and finally every
+checker against corrupted inputs that it must reject.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .checks import CHECKS, RunRecord
 from .diagnostics import (
@@ -59,14 +65,22 @@ class CriterionResult:
         return f"[{tag}] {self.name} ({self.elapsed:.2f}s): {self.detail}"
 
 
+# name -> Report, or the Future of a run that run_all's pool computes
 _REPORTS: dict = {}
 
 
 def bundled_report(name: str):
-    """Run a bundled scenario once per process and cache the report."""
-    if name not in _REPORTS:
-        _REPORTS[name] = run(load_scenario(bundled_scenario_path(name)))
-    return _REPORTS[name]
+    """Run a bundled scenario once per process and cache the report.
+
+    A run that run_all handed to its pool is waited for here, and a run
+    that raised there raises here."""
+    rep = _REPORTS.get(name)
+    if rep is None:
+        rep = run(load_scenario(bundled_scenario_path(name)))
+    elif isinstance(rep, Future):
+        rep = rep.result()
+    _REPORTS[name] = rep
+    return rep
 
 
 def _verdict(report, check_name: str):
@@ -74,6 +88,29 @@ def _verdict(report, check_name: str):
         if v.name == check_name:
             return v
     return None
+
+
+def _kernel_quadrature_error() -> float:
+    """Largest gap between solve and v(x) = int_0^inf e^-s (u(x-s) +
+    u(x+s)) / 2 ds, the exponential kernel of (I - d^2/dx^2)^-1, over 12
+    points of a smooth periodic u.  The integral is cut at s = 45, where
+    e^-s is under 1e-19, and taken with 64 Gauss-Legendre nodes."""
+    g = make_grid(1, 256, 8.0)
+    L = g.half_width
+
+    def u_func(x):
+        return 1.3 + np.sin(math.pi * x / L) + 0.45 * np.cos(3 * math.pi * x / L + 0.7)
+
+    v = solve(Field(g, u_func(g.axes[0])))
+    nodes, weights = leggauss(64)
+    s = 22.5 * (nodes + 1.0)
+    w = 22.5 * weights * 0.5 * np.exp(-s)
+    worst = 0.0
+    for idx in range(0, g.n, 23):
+        x = g.axes[0][idx]
+        val = float(np.dot(w, u_func(x - s) + u_func(x + s)))
+        worst = max(worst, abs(val - v.values[idx]))
+    return worst
 
 
 def crit_elliptic_exactness():
@@ -94,25 +131,8 @@ def crit_elliptic_exactness():
             v = solve(Field(g, u_vals))
             err = np.max(np.abs(v.values - u_vals / (1.0 + k2)))
             worst_eig = max(worst_eig, float(err))
-    # route two: adaptive quadrature against the exponential kernel
-    g = make_grid(1, 256, 8.0)
-    L = g.half_width
-
-    def u_func(x):
-        return 1.3 + np.sin(math.pi * x / L) + 0.45 * np.cos(3 * math.pi * x / L + 0.7)
-
-    v = solve(Field(g, u_func(g.axes[0])))
-    worst_quad = 0.0
-    for idx in range(0, g.n, 23):
-        x = g.axes[0][idx]
-        val, _ = quad(
-            lambda s: 0.5 * math.exp(-s) * (u_func(x - s) + u_func(x + s)),
-            0.0,
-            45.0,
-            epsabs=1e-12,
-            limit=200,
-        )
-        worst_quad = max(worst_quad, abs(val - v.values[idx]))
+    # route two: Gauss-Legendre quadrature of the exponential kernel
+    worst_quad = _kernel_quadrature_error()
     passed = worst_eig <= 1e-12 and worst_quad <= 1e-6
     detail = (
         f"eigenfunction err {worst_eig:.2e} (tol 1e-12), kernel quadrature "
@@ -451,6 +471,99 @@ CRITERIA = {
 }
 
 
+# The bundled runs each criterion reads through bundled_report, which
+# run_all computes ahead; ALL_RUNS stands for every bundled scenario.
+ALL_RUNS = "all"
+READS = {
+    "sandwich_all_runs": ALL_RUNS,
+    "envelope_run": ("envelope_1d",),
+    "mass_bounds": ALL_RUNS,
+    "stability_run": ("stability_1d",),
+    "fisher_speed": ("fisher_1d",),
+    "spreading_run": ("spreading_1d",),
+    "l2_growth": ("spreading_1d",),
+}
+
+
+def runs_read(name: str) -> list:
+    """The bundled runs criterion `name` declares in READS."""
+    reads = READS.get(name, ())
+    return bundled_scenario_names() if reads == ALL_RUNS else list(reads)
+
+
+def _pool_run(scenario):
+    """harness.run under this module's name for it.  The pool sends this
+    function by reference, which works even where `run` has been replaced
+    by a wrapper (a tracer, a test double) that pickle cannot send."""
+    return run(scenario)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _Prefetch:
+    """Bundled runs computed on a process pool while the caller works.
+
+    The runs not yet cached go to min(usable CPUs, runs) workers, longest
+    first by steps x n^dim, and their futures into the report cache.  The
+    workers are forked, so they start with numpy, scipy.fft and kslogistic
+    already imported; a spawned worker would import them again before its
+    first run.  No pool is made with one usable CPU or without fork.
+    """
+
+    def __init__(self, names):
+        self.pool = None
+        self.futures = {}
+        todo = [n for n in names if n not in _REPORTS]
+        cpus = _usable_cpus()
+        if not todo or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return
+        scenarios = {n: load_scenario(bundled_scenario_path(n)) for n in todo}
+
+        def cost(name):
+            sc = scenarios[name]
+            return round(sc.control.t_end / sc.control.dt) * sc.grid.n**sc.grid.dim
+
+        self.workers = min(cpus, len(todo))
+        self.t0 = time.perf_counter()
+        self.last_done = self.t0
+        self.pool = ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"))
+        for name in sorted(todo, key=cost, reverse=True):
+            fut = self.futures[name] = _REPORTS[name] = self.pool.submit(_pool_run, scenarios[name])
+            fut.add_done_callback(self._done)
+
+    def _done(self, _future) -> None:
+        self.last_done = max(self.last_done, time.perf_counter())
+
+    def summary(self):
+        """The pool's summary line once every run has been read, else None."""
+        if self.pool is None or any(_REPORTS.get(n) is f for n, f in self.futures.items()):
+            return None
+        summed = sum(_REPORTS[n].wall_time for n in self.futures)
+        return (
+            f"bundled runs: {len(self.futures)} on {self.workers} "
+            f"worker{'s' if self.workers > 1 else ''}, "
+            f"{self.last_done - self.t0:.2f} s wall ({summed:.2f} s summed run time)"
+        )
+
+    def close(self) -> None:
+        """Stop the pool, waiting for the runs already started, and leave
+        only finished reports in the cache."""
+        if self.pool is None:
+            return
+        self.pool.shutdown(wait=True, cancel_futures=True)
+        for name, fut in self.futures.items():
+            if _REPORTS.get(name) is fut:
+                if fut.cancelled() or fut.exception() is not None:
+                    del _REPORTS[name]
+                else:
+                    _REPORTS[name] = fut.result()
+
+
 def run_one(name: str) -> CriterionResult:
     if name not in CRITERIA:
         raise ValueError(f"unknown criterion {name!r}; known: {sorted(CRITERIA)}")
@@ -471,12 +584,19 @@ def run_one(name: str) -> CriterionResult:
 
 def run_all(names=None, echo=None):
     picked = list(CRITERIA) if not names else list(names)
+    prefetch = _Prefetch(dict.fromkeys(r for name in picked for r in runs_read(name)))
+    summary = None
     results = []
-    for name in picked:
-        res = run_one(name)
-        if echo is not None:
-            echo(res.line)
-        results.append(res)
+    try:
+        for name in picked:
+            res = run_one(name)
+            if echo is not None:
+                if summary is None and (summary := prefetch.summary()) is not None:
+                    echo(summary)
+                echo(res.line)
+            results.append(res)
+    finally:
+        prefetch.close()
     if echo is not None:
         n_pass = sum(r.passed for r in results)
         echo(f"{n_pass}/{len(results)} criteria passed")
