@@ -4,9 +4,9 @@ Each criterion is a function returning (passed, detail).  run_all and
 run_one time them, fold stated runtime budgets into the verdicts, and
 share one cache of bundled-scenario runs so a report is computed once
 no matter how many criteria read it.  Each criterion declares in READS
-the bundled runs it reads; run_all computes those on a process pool
-while the criteria that read none run, and run_one computes a run in
-process when a criterion first asks for it.
+the bundled runs it reads; run_all computes those with run_many, on a
+process pool while the criteria that read none run, and run_one
+computes a run in process when a criterion first asks for it.
 
 The checks deliberately cross-validate along independent routes: the
 elliptic solve against closed-form eigenfunctions and against
@@ -19,10 +19,8 @@ checker against corrupted inputs that it must reject.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +38,7 @@ from .diagnostics import (
     sandwich_check,
 )
 from .grid import Field, make_grid
-from .harness import run
+from .harness import _pool_size, run, run_many
 from .helmholtz import grad_potential, solve
 from .icfactory import band_limited_noise
 from .params import Params
@@ -65,29 +63,26 @@ class CriterionResult:
         return f"[{tag}] {self.name} ({self.elapsed:.2f}s): {self.detail}"
 
 
-# name -> Report, or the Future of a run that run_all's pool computes
+# name -> Report, or run_all's run_many call that computes it
 _REPORTS: dict = {}
 
 
 def bundled_report(name: str):
     """Run a bundled scenario once per process and cache the report.
 
-    A run that run_all handed to its pool is waited for here, and a run
-    that raised there raises here."""
+    A run that run_all handed to run_many is made or waited for here, and
+    a run that raised there raises here."""
     rep = _REPORTS.get(name)
     if rep is None:
         rep = run(load_scenario(bundled_scenario_path(name)))
-    elif isinstance(rep, Future):
-        rep = rep.result()
+    elif callable(rep):
+        rep = rep()
     _REPORTS[name] = rep
     return rep
 
 
 def _verdict(report, check_name: str):
-    for v in report.checks:
-        if v.name == check_name:
-            return v
-    return None
+    return next((v for v in report.checks if v.name == check_name), None)
 
 
 def _kernel_quadrature_error() -> float:
@@ -505,65 +500,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Prefetch:
-    """Bundled runs computed on a process pool while the caller works.
-
-    The runs not yet cached go to min(usable CPUs, runs) workers, longest
-    first by steps x n^dim, and their futures into the report cache.  The
-    workers are forked, so they start with numpy, scipy.fft and kslogistic
-    already imported; a spawned worker would import them again before its
-    first run.  No pool is made with one usable CPU or without fork.
-    """
-
-    def __init__(self, names):
-        self.pool = None
-        self.futures = {}
-        todo = [n for n in names if n not in _REPORTS]
-        cpus = _usable_cpus()
-        if not todo or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            return
-        scenarios = {n: load_scenario(bundled_scenario_path(n)) for n in todo}
-
-        def cost(name):
-            sc = scenarios[name]
-            return round(sc.control.t_end / sc.control.dt) * sc.grid.n**sc.grid.dim
-
-        self.workers = min(cpus, len(todo))
-        self.t0 = time.perf_counter()
-        self.last_done = self.t0
-        self.pool = ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"))
-        for name in sorted(todo, key=cost, reverse=True):
-            fut = self.futures[name] = _REPORTS[name] = self.pool.submit(_pool_run, scenarios[name])
-            fut.add_done_callback(self._done)
-
-    def _done(self, _future) -> None:
-        self.last_done = max(self.last_done, time.perf_counter())
-
-    def summary(self):
-        """The pool's summary line once every run has been read, else None."""
-        if self.pool is None or any(_REPORTS.get(n) is f for n, f in self.futures.items()):
-            return None
-        summed = sum(_REPORTS[n].wall_time for n in self.futures)
-        return (
-            f"bundled runs: {len(self.futures)} on {self.workers} "
-            f"worker{'s' if self.workers > 1 else ''}, "
-            f"{self.last_done - self.t0:.2f} s wall ({summed:.2f} s summed run time)"
-        )
-
-    def close(self) -> None:
-        """Stop the pool, waiting for the runs already started, and leave
-        only finished reports in the cache."""
-        if self.pool is None:
-            return
-        self.pool.shutdown(wait=True, cancel_futures=True)
-        for name, fut in self.futures.items():
-            if _REPORTS.get(name) is fut:
-                if fut.cancelled() or fut.exception() is not None:
-                    del _REPORTS[name]
-                else:
-                    _REPORTS[name] = fut.result()
-
-
 def run_one(name: str) -> CriterionResult:
     if name not in CRITERIA:
         raise ValueError(f"unknown criterion {name!r}; known: {sorted(CRITERIA)}")
@@ -583,21 +519,27 @@ def run_one(name: str) -> CriterionResult:
 
 
 def run_all(names=None, echo=None):
+    echo = echo or (lambda line: None)
     picked = list(CRITERIA) if not names else list(names)
-    prefetch = _Prefetch(dict.fromkeys(r for name in picked for r in runs_read(name)))
-    summary = None
+    todo = [r for r in dict.fromkeys(r for name in picked for r in runs_read(name)) if r not in _REPORTS]
+    workers = _pool_size(len(todo), _usable_cpus())
+    t0 = time.perf_counter()
     results = []
     try:
-        for name in picked:
-            res = run_one(name)
-            if echo is not None:
-                if summary is None and (summary := prefetch.summary()) is not None:
-                    echo(summary)
-                echo(res.line)
-            results.append(res)
+        with run_many([load_scenario(bundled_scenario_path(r)) for r in todo], workers, _pool_run) as calls:
+            _REPORTS.update(zip(todo, calls))
+            for name in picked:
+                results.append(run_one(name))
+                # the pool's account, once, as soon as its last run has been read
+                if workers and not any(callable(_REPORTS[r]) for r in todo):
+                    summed = sum(_REPORTS[r].wall_time for r in todo)
+                    echo(f"bundled runs: {len(todo)} on {workers} workers, "
+                         f"{time.perf_counter() - t0:.2f} s wall ({summed:.2f} s summed run time)")
+                    workers = 0
+                echo(results[-1].line)
     finally:
-        prefetch.close()
-    if echo is not None:
-        n_pass = sum(r.passed for r in results)
-        echo(f"{n_pass}/{len(results)} criteria passed")
+        for r in todo:  # drop the calls never made or that raised
+            if callable(_REPORTS.get(r)):
+                del _REPORTS[r]
+    echo(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
     return results

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -45,6 +48,7 @@ __all__ = [
     "Report",
     "run",
     "run_experiment",
+    "run_many",
     "sweep",
     "write_series_csv",
     "write_sweep_csv",
@@ -463,6 +467,37 @@ def _sweep_one(scenario: Scenario) -> dict:
     return row
 
 
+def _pool_size(n_scenarios: int, workers: int) -> int:
+    """The workers run_many forks for n_scenarios, or 0 where it runs them in process."""
+    size = min(workers, n_scenarios)
+    return size if size >= 2 and "fork" in multiprocessing.get_all_start_methods() else 0
+
+
+@contextmanager
+def run_many(scenarios, workers: int, fn=run):
+    """One zero-argument call per scenario, in input order, that returns
+    fn(scenario) or raises what fn raised.
+
+    Where _pool_size() is not 0, the calls read a pool of that many
+    workers forked for the block, the longest runs (steps x n^dim)
+    submitted first; the block's exit cancels what has not started and
+    waits for the rest.  Otherwise each call runs fn in process when it
+    is made.
+    """
+    size = _pool_size(len(scenarios), workers)
+    if not size:
+        yield [partial(fn, sc) for sc in scenarios]
+        return
+    costs = [round(sc.control.t_end / sc.control.dt) * sc.grid.n**sc.grid.dim for sc in scenarios]
+    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+    try:
+        order = sorted(range(len(scenarios)), key=costs.__getitem__, reverse=True)
+        futures = {i: pool.submit(fn, scenarios[i]) for i in order}
+        yield [futures[i].result for i in range(len(scenarios))]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def sweep(
     scenario: Scenario, axis: str, values, workers: int = 1
 ) -> list:
@@ -477,11 +512,8 @@ def sweep(
     if workers < 1:
         raise ScenarioError(f"workers must be >= 1, got {workers}")
     variants = [with_value(scenario, axis, v) for v in values]
-    if workers == 1:
-        rows = [_sweep_one(sc) for sc in variants]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, variants))
+    with run_many(variants, workers, _sweep_one) as calls:
+        rows = [call() for call in calls]
     for v, row in zip(values, rows):
         row["value"] = v
     return rows

@@ -34,8 +34,3 @@ class Params:
             raise ValueError(f"b must be positive, got {self.b}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-
-    @property
-    def carrying_capacity(self) -> float:
-        """Spatially uniform equilibrium a/b."""
-        return self.a / self.b

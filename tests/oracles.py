@@ -80,6 +80,26 @@ def bessel_resolvent_1d(u_per, x, epsabs=1e-12):
     return left + right
 
 
+def heat_kernel(x, t, dim):
+    """Gaussian (4 pi t)^(-dim/2) exp(-|x|^2 / (4t)), the exact heat kernel.
+
+    For dim == 1, ``x`` is any array of positions.  For dim == 2 the
+    last axis of ``x`` must hold the two components.
+    """
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    x = np.asarray(x, dtype=np.float64)
+    if dim == 1:
+        r2 = x**2
+    else:
+        if x.shape[-1] != dim:
+            raise ValueError(f"last axis of x must have length {dim}")
+        r2 = np.sum(x**2, axis=-1)
+    return (4.0 * np.pi * t) ** (-dim / 2.0) * np.exp(-r2 / (4.0 * t))
+
+
 def heat_semigroup_1d(values, grid, t, images=None):
     """e^(-t) * (heat kernel convolution) by periodized-kernel quadrature.
 

@@ -1,6 +1,7 @@
 """The acceptance gate's machinery around its criteria: the bundled runs
-each criterion declares, the process pool run_all computes them on, its
-errors and cleanup, and the kernel quadrature of elliptic_exactness.
+each criterion declares, the harness.run_many pool run_all computes them
+on, its errors and cleanup, and the kernel quadrature of
+elliptic_exactness.
 
 Tests that take the pool path give it two usable CPUs and an empty
 report cache, so they neither depend on the machine nor fill the cache
@@ -11,7 +12,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
 
 import pytest
 
@@ -35,8 +35,9 @@ def pool_path(monkeypatch):
     monkeypatch.setattr(acceptance, "_REPORTS", {})
 
 
-def _no_futures_left() -> bool:
-    return not any(isinstance(v, Future) for v in acceptance._REPORTS.values())
+def _no_calls_left() -> bool:
+    """Only finished reports in the cache, no run_many call."""
+    return not any(callable(v) for v in acceptance._REPORTS.values())
 
 
 def test_import_does_not_load_scipy_integrate():
@@ -78,22 +79,16 @@ def test_only_starts_no_run_for_criteria_that_read_none(pool_path, capsys):
 
 
 @needs_fork
-def test_pool_reports_equal_in_process_reports(pool_path):
-    names = ["mass_decay_1d", "twod_smoke"]
-    prefetch = acceptance._Prefetch(names)
-    try:
-        futures = [acceptance._REPORTS[n] for n in names]
-        assert all(isinstance(f, Future) for f in futures)
-        for f in futures:
-            f.result(timeout=120)
-        pooled = {n: acceptance.bundled_report(n) for n in names}
-    finally:
-        prefetch.close()
+def test_pool_reports_equal_in_process_reports():
+    scenarios = [load_scenario(bundled_scenario_path(n)) for n in ("mass_decay_1d", "twod_smoke")]
+    with harness.run_many(scenarios, 2, acceptance._pool_run) as calls:
+        assert len(multiprocessing.active_children()) == 2
+        pooled = [call() for call in calls]
     assert multiprocessing.active_children() == []
-    assert pooled["twod_smoke"].snapshots
-    for n in names:
-        local = harness.run(load_scenario(bundled_scenario_path(n)))
-        assert pooled[n].to_json(include_wall_time=False) == local.to_json(include_wall_time=False), n
+    assert pooled[1].snapshots
+    for sc, rep in zip(scenarios, pooled):
+        local = harness.run(sc)
+        assert rep.to_json(include_wall_time=False) == local.to_json(include_wall_time=False), sc.name
 
 
 @needs_fork
@@ -102,7 +97,7 @@ def test_run_all_prints_the_pool_line_and_leaves_no_worker(pool_path):
     results = acceptance.run_all(["fisher_speed", "elliptic_exactness", "l2_growth"], echo=lines.append)
     assert [r.passed for r in results] == [True, True, True]
     assert multiprocessing.active_children() == []
-    assert _no_futures_left() and set(acceptance._REPORTS) == {"fisher_1d", "spreading_1d"}
+    assert _no_calls_left() and set(acceptance._REPORTS) == {"fisher_1d", "spreading_1d"}
     pool = [line for line in lines if line.startswith("bundled runs:")]
     assert len(pool) == 1 and pool[0].startswith("bundled runs: 2 on 2 workers, ")
     # printed once the last run is read: before the verdict of l2_growth
@@ -120,13 +115,13 @@ def test_no_worker_outlives_a_failing_criterion(pool_path, monkeypatch):
     results = acceptance.run_all(["fisher_speed", "envelope_run"])
     assert [r.passed for r in results] == [False, True]
     assert multiprocessing.active_children() == []
-    assert _no_futures_left()
+    assert _no_calls_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_raising_run_surfaces_in_its_first_reader(monkeypatch, capsys, cpus):
     """The in-process path (one CPU) and the pool give the same message
-    and exit status, and the pool leaves no worker and no future.  The
+    and exit status, and the pool leaves no worker and no call.  The
     replaced run is a closure, which pickle cannot send: the pool must
     not need to, as under a tracer that wraps harness.run."""
     if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -146,4 +141,4 @@ def test_a_raising_run_surfaces_in_its_first_reader(monkeypatch, capsys, cpus):
     assert err == "error: envelope_1d: forced failure\n"
     assert out.startswith("[PASS] fisher_speed") and "envelope_run" not in out
     assert multiprocessing.active_children() == []
-    assert _no_futures_left() and "envelope_1d" not in acceptance._REPORTS
+    assert _no_calls_left() and "envelope_1d" not in acceptance._REPORTS

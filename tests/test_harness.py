@@ -1,8 +1,12 @@
-"""Scenario schema strictness, the run loop, file outputs, sweeps, CLI."""
+"""Scenario schema strictness, the run loop, file outputs, sweeps,
+run_many, CLI."""
 
+import csv
 import json
 import math
+import multiprocessing
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +20,7 @@ from kslogistic.harness import (
     emit_plot_data,
     run,
     run_experiment,
+    run_many,
     sweep,
     write_sweep_csv,
 )
@@ -411,6 +416,39 @@ class TestOutputs:
             assert np.array_equal(table[:, dim + 1], np.ravel(snap["v"]))
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="run_many runs in process where fork is unavailable",
+)
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """A ProcessPoolExecutor that records its size and the grid sizes of
+    the scenarios submitted to it, in submission order."""
+
+    made: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        super().__init__(max_workers, **kwargs)
+        self.max_workers = max_workers
+        self.submitted = []
+        RecordingPool.made.append(self)
+
+    def submit(self, fn, scenario):
+        self.submitted.append(scenario.grid.n)
+        return super().submit(fn, scenario)
+
+
+def grid_n(scenario):
+    return scenario.grid.n
+
+
+def grid_n_unless_128(scenario):
+    if scenario.grid.n == 128:
+        raise HarnessError("n = 128 refused")
+    return scenario.grid.n
+
+
 class TestSweep:
     def test_rows_and_csv(self, tmp_path):
         rows = sweep(tiny(), "params.chi", [0.0, 0.3])
@@ -451,12 +489,73 @@ class TestSweep:
         with pytest.raises(ScenarioError, match="nonempty"):
             sweep(tiny(), "params.chi", [])
 
-    def test_parallel_workers_agree_with_serial(self):
-        serial = sweep(tiny(), "params.chi", [0.0, 0.2], workers=1)
-        parallel = sweep(tiny(), "params.chi", [0.0, 0.2], workers=2)
-        for a, b in zip(serial, parallel):
-            assert a["final_mass"] == b["final_mass"]
-            assert a["status"] == b["status"]
+    def test_parallel_workers_agree_with_serial(self, tmp_path):
+        def csv_less_wall_time(workers):
+            path = tmp_path / f"sweep_{workers}.csv"
+            write_sweep_csv(sweep(tiny(), "params.chi", [0.0, 0.2], workers=workers), "params.chi", path)
+            rows = list(csv.reader(path.open()))
+            col = rows[0].index("wall_time")
+            return [row[:col] + row[col + 1:] for row in rows]
+
+        serial = csv_less_wall_time(1)
+        assert len(serial) == 3
+        assert csv_less_wall_time(2) == serial
+
+    @needs_fork
+    def test_pool_has_one_worker_per_value_at_most(self, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        RecordingPool.made.clear()
+        rows = sweep(tiny(), "params.chi", [0.0, 0.3], workers=3)
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert [pool.max_workers for pool in RecordingPool.made] == [2]
+
+
+class TestRunMany:
+    SIZES = [64, 256, 128]
+
+    def scenarios(self):
+        return [tiny(grid={"n": n}) for n in self.SIZES]
+
+    @needs_fork
+    def test_calls_come_back_in_input_order_though_longest_is_submitted_first(self, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        RecordingPool.made.clear()
+        with run_many(self.scenarios(), 2, grid_n) as calls:
+            assert [call() for call in calls] == self.SIZES
+        (pool,) = RecordingPool.made
+        assert pool.max_workers == 2
+        assert pool.submitted == [256, 128, 64]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_call_raises_only_when_called(self, workers):
+        if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no pool without fork")
+        with run_many(self.scenarios(), workers, grid_n_unless_128) as calls:
+            assert calls[0]() == 64 and calls[1]() == 256
+            with pytest.raises(HarnessError, match="n = 128 refused"):
+                calls[2]()
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_no_worker_outlives_a_block_whose_body_raised(self):
+        with pytest.raises(RuntimeError, match="body failed"):
+            with run_many(self.scenarios(), 2, grid_n) as calls:
+                assert len(multiprocessing.active_children()) == 2
+                calls[0]()
+                raise RuntimeError("body failed")
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_a_call_never_made_runs_nothing(self):
+        made = []
+
+        def recording(scenario):
+            made.append(scenario.grid.n)
+            return scenario.grid.n
+
+        with run_many(self.scenarios(), 1, recording) as calls:
+            assert made == []
+            assert calls[1]() == 256
+        assert made == [256]
 
 
 class TestCli:

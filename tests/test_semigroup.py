@@ -5,9 +5,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from kslogistic.grid import Field, make_grid
-from kslogistic.semigroup import apply_T, apply_T_div, heat_kernel
+from kslogistic.semigroup import apply_T, apply_T_div
 
-from oracles import full_multipliers, heat_semigroup_1d, smooth_field
+from oracles import full_multipliers, heat_kernel, heat_semigroup_1d, smooth_field
 
 # sup of |T(t) d/dx f| / (t^(-1/2) e^(-t)) over the smoothed-square-wave
 # family at t = 0.01, n = 2048, L = 10; tabulated by the brute-force
