@@ -351,10 +351,8 @@ def crit_convergence_order():
     T = 0.4
     sols = []
     for dt in (0.02, 0.01, 0.005):
-        state = initial_state(u0)
         control = StepControl(dt=dt, t_end=T).resolved(u0, p)
-        for _ in range(round(T / dt)):
-            state = step(state, p, control)
+        state = step(initial_state(u0), p, control, steps=round(T / dt))
         sols.append(state.u.values)
     e_coarse = float(np.max(np.abs(sols[0] - sols[1])))
     e_fine = float(np.max(np.abs(sols[1] - sols[2])))

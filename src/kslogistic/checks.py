@@ -259,9 +259,9 @@ class CstarPositive(Check):
     def verdict(self, run):
         spreading = run.regime.spreading
         if run.scan is None:
+            why = "a = 0" if run.scenario.params.a == 0.0 else "front empty or beyond guard"
             return CheckVerdict(
-                self.name, False, spreading, math.nan,
-                "no usable far-field scan (front empty or beyond guard)",
+                self.name, False, spreading, math.nan, f"no usable far-field scan ({why})",
             )
         t_scan, scan = run.scan
         return CheckVerdict(

@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "Grid",
@@ -152,20 +151,23 @@ class Grid:
         """Multipliers on the half-spectrum layout, shared by equal grids."""
         return _half_spectrum(self.dim, self.n, float(self.half_width))
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
+    def rfft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Forward real transform over the last dim axes (leading axes
-        batch), divided by n**dim so the k = 0 coefficient is the mean."""
+        batch), divided by n**dim so the k = 0 coefficient is the mean.
+        With out, the coefficients are written there and out is returned."""
         if self.dim == 1:
-            return sfft.rfft(values, norm="forward")
-        return sfft.rfft2(values, norm="forward")
+            return np.fft.rfft(values, norm="forward", out=out)
+        return np.fft.rfftn(values, axes=(-2, -1), norm="forward", out=out)
 
-    def irfft(self, coef: np.ndarray) -> np.ndarray:
-        """Inverse of ``rfft``, batched over leading axes the same way.
-        n is even, so scipy's default length 2 (m - 1) from m = n/2 + 1
-        coefficients is n; passing it again costs a shape check per call."""
+    def irfft(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of ``rfft``, batched over leading axes the same way,
+        into out when given.  The length n is passed explicitly, so an
+        odd length is never inferred from the n/2 + 1 coefficients.  In
+        2-D this is irfftn over the last two axes: numpy's irfft2 does
+        not pass out on and would allocate the result anyway."""
         if self.dim == 1:
-            return sfft.irfft(coef, norm="forward")
-        return sfft.irfft2(coef, norm="forward")
+            return np.fft.irfft(coef, self.n, norm="forward", out=out)
+        return np.fft.irfftn(coef, self.shape, axes=(-2, -1), norm="forward", out=out)
 
     def apply(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         """Real field (or batch) times a half-spectrum multiplier (or a
@@ -221,7 +223,7 @@ def to_spectral(f: Field) -> SpectralField:
     """The full complex spectrum of f, for inspection; the k = 0
     coefficient equals the field mean."""
     require_finite(f)
-    return SpectralField(f.grid, sfft.fftn(f.values, norm="forward"))
+    return SpectralField(f.grid, np.fft.fftn(f.values, norm="forward"))
 
 
 def gradient(f: Field) -> tuple[Field, ...]:

@@ -215,8 +215,7 @@ def run(scenario: Scenario) -> Report:
     for i in range(nsamp + 1):
         if i > 0:
             try:
-                for _ in range(per):
-                    state = step(state, p, control)
+                state = step(state, p, control, steps=per)
             except StepperError as e:
                 rec.abort = {
                     "kind": type(e).__name__,
@@ -257,7 +256,9 @@ def run(scenario: Scenario) -> Report:
         cols["dist_v_ab"].append(dv)
 
         cstar_val = math.nan
-        if valid and radius > 0.0:
+        # at a = 0 the floor 2 sqrt(a - chi v) - chi |grad v| is defined
+        # only where rounding leaves v <= 0, so there is nothing to scan
+        if valid and radius > 0.0 and p.a > 0.0:
             try:
                 scan = cstar_functional(u, v, p, diag.cstar_inner_factor * radius)
             except ValueError:

@@ -157,14 +157,21 @@ def _plan(grid: Grid, dt: float, b: float, chi: float, dealias: bool):
         synth += list(hs.masked_grad_resolvent if dealias else hs.grad_resolvent)
         weights += list(chi * mask * hs.ik)
     plan = (E, dt * phi1, 0.5 * dt * phi1, np.stack(synth), np.stack(weights))
+    # every multiplier meets complex coefficients; made complex once
+    # here, they are not cast again on every product, and the products
+    # keep their bits
+    plan = tuple(arr.astype(np.complex128) for arr in plan)
     for arr in plan:
         arr.flags.writeable = False
     return plan
 
 
-def _rhs(g: Grid, uh: np.ndarray, phys: np.ndarray, weights: np.ndarray, a1: float) -> np.ndarray:
+def _rhs(g: Grid, uh: np.ndarray, phys: np.ndarray, weights: np.ndarray, a1: float,
+         out: np.ndarray, prod: np.ndarray, prodh: np.ndarray) -> np.ndarray:
     """Half-spectrum of F(u) = -chi div(u grad v) + (a+1) u - b u^2,
-    with a1 = a + 1, from uh and phys, the factors in physical space.
+    with a1 = a + 1, from uh and phys, the factors in physical space,
+    written to out.  prod (physical) and prodh (spectral) hold the
+    products and are overwritten.
 
     The products u^2 and u dv/dx_i come back in one batched forward
     transform.  In-place operations keep the operand order of
@@ -172,10 +179,14 @@ def _rhs(g: Grid, uh: np.ndarray, phys: np.ndarray, weights: np.ndarray, a1: flo
     the rows are added in order, as that sum does, without its
     reduction overhead.
     """
-    prods = g.rfft(phys * phys[0])
-    np.multiply(weights, prods, out=prods)
-    out = a1 * uh
-    out -= sum(prods[1:], prods[0])
+    np.multiply(phys, phys[0], out=prod)
+    g.rfft(prod, out=prodh)
+    np.multiply(weights, prodh, out=prodh)
+    acc = prodh[0]
+    for row in prodh[1:]:
+        acc += row
+    np.multiply(a1, uh, out=out)
+    out -= acc
     return out
 
 
@@ -185,75 +196,91 @@ def nonlinearity(u: Field, p: Params, dealias: bool = True) -> Field:
     # dt = 0: F reads only the product stacks of the plan
     _, _, _, synth, weights = _plan(g, 0.0, p.b, p.chi, dealias)
     uh = g.rfft(u.values)
-    return Field(g, g.irfft(_rhs(g, uh, g.irfft(synth * uh), weights, p.a + 1.0)))
+    phys = g.irfft(synth * uh)
+    fh = _rhs(g, uh, phys, weights, p.a + 1.0, np.empty_like(uh), np.empty_like(phys),
+              np.empty(synth.shape, uh.dtype))
+    return Field(g, g.irfft(fh))
 
 
-def step(state: State, p: Params, control: StepControl) -> State:
-    """Advance one dt.  Budgets must already be resolved (not None).
+def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State:
+    """Advance by steps times dt.  Budgets must already be resolved (not None).
 
-    The update runs on the half-spectrum.  One batched inverse
-    transform ends the step: its first row is the new u, whose single
-    min and max decide the aborts in order (non-finite, negativity,
-    blow-up); the other rows are the factors of the next step's first
-    evaluation of F.
+    The update runs on the half-spectrum, in work arrays that this call
+    allocates and owns.  One batched inverse transform ends each step:
+    its first row is the new u, whose single min and max decide the
+    aborts in order (non-finite, negativity, blow-up); the other rows
+    are the factors of the next step's first evaluation of F.  An abort
+    raises at the step where it happens, with the same time and message
+    as that many calls with steps=1.  The returned State holds read-only
+    copies of u and its spectrum and the last step's factors, which
+    nothing else refers to.
     """
     g = state.u.grid
     if p.dim != g.dim:
         raise ValueError(f"params.dim={p.dim} does not match grid dim {g.dim}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     if control.negativity_budget is None or control.blowup_threshold is None:
         control = control.resolved(state.u, p)
     E, P, half_P, synth, weights = _plan(g, control.dt, p.b, p.chi, control.dealias)
     a1 = p.a + 1.0
+    neg, blow = control.negativity_budget, control.blowup_threshold
 
-    uh = state._uh if state._uh is not None else g.rfft(state.u.values)
+    # the new u and the next factors, as rows in both layouts; row 0 of
+    # rows is the uh a step starts from and, at its end, the new one
+    rows = np.empty((len(synth) + 1,) + E.shape, dtype=E.dtype)
+    fields = np.empty((len(synth) + 1,) + g.shape)
+    prod, prodh = np.empty_like(fields[1:]), np.empty_like(rows[1:])
+    fn, Eu, pred, fp = (np.empty_like(E) for _ in range(4))
+    # the input state's arrays are read, never written
+    uh = state._uh if state._uh is not None else g.rfft(state.u.values, out=rows[0])
     made_by, phys = state._factors or (None, None)
     if made_by is not synth:
-        phys = g.irfft(synth * uh)
-    fn = _rhs(g, uh, phys, weights, a1)
-    Eu = E * uh
-    pred = P * fn
-    pred += Eu
-    fp = _rhs(g, pred, g.irfft(synth * pred), weights, a1)
-    newh = fn
-    newh += fp
-    np.multiply(half_P, newh, out=newh)
-    newh += Eu
+        phys = g.irfft(np.multiply(synth, uh, out=rows[1:]), out=fields[1:])
 
-    # row 0 is newh itself, not 1 * newh, which would turn an infinite
-    # coefficient's zero imaginary part into NaN
-    rows = np.empty((len(synth) + 1,) + newh.shape, dtype=newh.dtype)
-    rows[0] = newh
-    np.multiply(synth, newh, out=rows[1:])
-    out = g.irfft(rows)
-    u_new, factors = out[0].copy(), out[1:]
+    t = state.t
+    for count in range(state.step_count + 1, state.step_count + steps + 1):
+        _rhs(g, uh, phys, weights, a1, fn, prod, prodh)
+        np.multiply(E, uh, out=Eu)
+        np.multiply(P, fn, out=pred)
+        pred += Eu
+        g.irfft(np.multiply(synth, pred, out=rows[1:]), out=fields[1:])
+        _rhs(g, pred, fields[1:], weights, a1, fp, prod, prodh)
+        fn += fp
+        np.multiply(half_P, fn, out=fn)
+        # row 0 is the new spectrum itself, not 1 times it, which would
+        # turn an infinite coefficient's zero imaginary part into NaN
+        uh = np.add(fn, Eu, out=rows[0])
+        np.multiply(synth, uh, out=rows[1:])
+        g.irfft(rows, out=fields)
 
-    t_new = state.t + control.dt
-    # min and max propagate NaN and reach any infinity
-    lo = float(u_new.min())
-    hi = float(u_new.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NonFiniteFieldError(
-            f"solution became non-finite at t={t_new:.6g} (step {state.step_count + 1})"
-        )
-    if lo < -control.negativity_budget:
-        raise NegativityError(
-            f"minimum {lo:.3e} fell below the negativity budget "
-            f"{control.negativity_budget:.3e} at t={t_new:.6g}; refine the grid "
-            f"or widen the budget if the undershoot is resolution noise",
-            t=t_new,
-            value=lo,
-        )
-    amp = max(hi, -lo)
-    if amp > control.blowup_threshold:
-        raise BlowupError(
-            f"amplitude {amp:.3e} crossed the blow-up threshold "
-            f"{control.blowup_threshold:.3e} at t={t_new:.6g}",
-            t=t_new,
-            value=amp,
-        )
-    u_new.flags.writeable = newh.flags.writeable = factors.flags.writeable = False
-    new = State(t=t_new, u=Field(g, u_new), step_count=state.step_count + 1, uh=newh)
-    new._factors = (synth, factors)
+        t += control.dt
+        # min and max propagate NaN and reach any infinity
+        lo = float(fields[0].min())
+        hi = float(fields[0].max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise NonFiniteFieldError(f"solution became non-finite at t={t:.6g} (step {count})")
+        if lo < -neg:
+            raise NegativityError(
+                f"minimum {lo:.3e} fell below the negativity budget "
+                f"{neg:.3e} at t={t:.6g}; refine the grid "
+                f"or widen the budget if the undershoot is resolution noise",
+                t=t,
+                value=lo,
+            )
+        amp = max(hi, -lo)
+        if amp > blow:
+            raise BlowupError(
+                f"amplitude {amp:.3e} crossed the blow-up threshold {blow:.3e} at t={t:.6g}",
+                t=t,
+                value=amp,
+            )
+        phys = fields[1:]
+
+    u_new, uh = fields[0].copy(), uh.copy()
+    u_new.flags.writeable = uh.flags.writeable = fields.flags.writeable = False
+    new = State(t=t, u=Field(g, u_new), step_count=count, uh=uh)
+    new._factors = (synth, fields[1:])
     return new
 
 

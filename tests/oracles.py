@@ -62,6 +62,20 @@ def smooth_field(grid, seed, kcut=None):
     return Field(grid, sfft.ifftn(c, norm="forward").real)
 
 
+def scipy_rfft(grid, values):
+    """Grid.rfft through scipy.fft: one 1/n**dim scaling per transform."""
+    if grid.dim == 1:
+        return sfft.rfft(values, norm="forward")
+    return sfft.rfft2(values, norm="forward")
+
+
+def scipy_irfft(grid, coef):
+    """Grid.irfft through scipy.fft."""
+    if grid.dim == 1:
+        return sfft.irfft(coef, grid.n, norm="forward")
+    return sfft.irfft2(coef, grid.shape, norm="forward")
+
+
 def bessel_resolvent_1d(u_per, x, epsabs=1e-12):
     """(I - d_xx)^(-1) u at point x by kernel quadrature.
 

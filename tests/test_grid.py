@@ -14,7 +14,7 @@ from kslogistic.grid import (
     to_spectral,
 )
 
-from oracles import full_multipliers
+from oracles import full_multipliers, scipy_irfft, scipy_rfft
 
 
 def white_field(grid, seed):
@@ -73,6 +73,46 @@ def test_transform_round_trip(seed, dim, n):
     back = g.irfft(g.rfft(f.values))
     scale = np.max(np.abs(f.values))
     assert np.max(np.abs(back - f.values)) <= 1e-12 * (1 + scale)
+
+
+def _batch(g, rows, seed):
+    """A real batch of fields and its half-spectrum."""
+    x = np.random.default_rng(seed).standard_normal((rows,) + g.shape)
+    return x, g.rfft(x)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (1, 96), (2, 128), (2, 96)])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_transforms_into_out_give_the_same_bits(dim, n, rows):
+    g = make_grid(dim, n, 3.0)
+    x, c = _batch(g, rows, 3)
+    cout = np.full_like(c, np.nan)
+    xout = np.full_like(x, np.nan)
+    assert g.rfft(x, out=cout) is cout
+    assert g.irfft(c, out=xout) is xout
+    assert np.array_equal(cout, c)
+    assert np.array_equal(xout, g.irfft(c))
+    # out receives the transform of this input, not left-over contents
+    assert np.array_equal(g.irfft(2.0 * c, out=xout), 2.0 * g.irfft(c))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (1, 96), (2, 128)])
+def test_transforms_match_scipy_bitwise(dim, n):
+    g = make_grid(dim, n, 3.0)
+    x, c = _batch(g, 3, 5)
+    assert np.array_equal(c, scipy_rfft(g, x))
+    assert np.array_equal(g.irfft(c), scipy_irfft(g, c))
+
+
+def test_transforms_match_scipy_at_96_squared():
+    # numpy scales each axis by 1/n, scipy once by 1/n^2; at n = 96 the
+    # two round differently
+    g = make_grid(2, 96, 3.0)
+    x, c = _batch(g, 3, 5)
+    ref = scipy_rfft(g, x)
+    assert np.max(np.abs(c - ref)) <= 1e-15 * np.max(np.abs(ref))
+    back = scipy_irfft(g, ref)
+    assert np.max(np.abs(g.irfft(ref) - back)) <= 1e-15 * np.max(np.abs(back))
 
 
 @settings(deadline=None, max_examples=30)

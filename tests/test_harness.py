@@ -299,6 +299,32 @@ class TestRun:
         assert rep.regime["spreading"] is True
         assert rep.cstar_floor == pytest.approx(1.0832864634654802)
 
+    def test_no_cstar_scan_at_a_zero(self):
+        # at a = 0 the floor 2 sqrt(a - chi v) - chi |grad v| is defined
+        # only where rounding leaves v <= 0: no sample scans, at a > 0
+        # the same run does
+        def scanned(a):
+            sc = tiny(
+                params={"a": a},
+                diagnostics={"front_level": 0.25},
+                checks={"cstar_positive": {}},
+            )
+            rep = run(sc)
+            (verdict,) = [v for v in rep.checks if v.name == "cstar_positive"]
+            return [not math.isnan(c) for c in rep.series["cstar_min"]], verdict
+
+        none, verdict = scanned(0.0)
+        assert not any(none) and len(none) == 6
+        assert verdict.detail == "no usable far-field scan (a = 0)"
+        assert all(scanned(1.0)[0])
+
+    def test_bundled_a_zero_run_has_no_cstar_samples(self):
+        from kslogistic.acceptance import bundled_report
+
+        rep = bundled_report("mass_decay_1d")
+        assert len(rep.times) == 51
+        assert all(math.isnan(c) for c in rep.series["cstar_min"])
+
     def test_blowup_abort_is_recorded_not_raised(self):
         sc = tiny(control={"dt": 0.01, "t_end": 0.5, "blowup_threshold": 1.0})
         rep = run(sc)

@@ -348,20 +348,21 @@ _BATCH_AXES = {"rfft": 1, "irfft": 1, "fft": 1, "ifft": 1, "rfft2": 2, "irfft2":
 
 
 def _count_transforms(monkeypatch):
-    """Wrap every scipy.fft entry point; record (name, transforms) per
-    call, a batched call counting one transform per batch entry."""
-    import scipy.fft
+    """Wrap every numpy.fft entry point; record (name, transforms) per
+    call, a batched call counting one transform per batch entry.  An
+    n-dimensional call transforms its axes, else all of them."""
+    import numpy.fft
 
     calls = []
     for name in _BATCH_AXES.keys() | {"fftn", "ifftn", "rfftn", "irfftn"}:
-        original = getattr(scipy.fft, name)
+        original = getattr(numpy.fft, name)
 
         def counted(x, *args, _name=name, _original=original, **kwargs):
-            axes = _BATCH_AXES.get(_name, np.ndim(x))
+            axes = _BATCH_AXES.get(_name) or len(kwargs.get("axes") or np.shape(x))
             calls.append((_name, int(np.prod(np.shape(x)[: np.ndim(x) - axes]))))
             return _original(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counted)
+        monkeypatch.setattr(numpy.fft, name, counted)
     return calls
 
 
@@ -384,7 +385,7 @@ def test_transforms_per_step_with_chemotaxis(monkeypatch, dim, n, expect):
     calls.clear()
     s.v  # v is formed on first read, with one more inverse transform
     s.v
-    assert calls == [("irfft" if dim == 1 else "irfft2", 1)]
+    assert calls == [("irfft" if dim == 1 else "irfftn", 1)]
 
 
 # -- the factors a step carries for the next one --------------------------
@@ -471,3 +472,83 @@ def test_stored_values_do_not_pin_the_factor_block(monkeypatch):
     stored = kept[1:] + [snap["u"] for snap in rep.snapshots[1:]]
     assert len(stored) == 5 + 2
     assert all(vals.base is None for vals in stored)
+
+
+# -- several steps in one call ---------------------------------------------
+
+
+def _same_state(a, b):
+    assert (a.t, a.step_count) == (b.t, b.step_count)
+    assert np.array_equal(a.u.values, b.u.values)
+    assert np.array_equal(a._uh, b._uh)
+    assert a._factors[0] is b._factors[0]
+    assert np.array_equal(a._factors[1], b._factors[1])
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("chi", [0.0, 0.5])
+@pytest.mark.parametrize("fresh", [True, False])
+def test_steps_in_one_call_equal_single_steps(dim, n, chi, fresh):
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=chi, a=1.0, b=1.0, dim=dim)
+    c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
+    s0 = initial_state(u0) if fresh else step(initial_state(u0), p, c, steps=3)
+    single = s0
+    for _ in range(7):
+        single = step(single, p, c)
+    _same_state(step(s0, p, c, steps=7), single)
+    _same_state(step(step(s0, p, c, steps=4), p, c, steps=3), single)
+
+
+def test_steps_must_be_positive():
+    g, u0 = _initial(1, 32, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    with pytest.raises(ValueError, match="steps"):
+        step(initial_state(u0), p, StepControl(dt=0.01, t_end=1.0), steps=0)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+def test_a_returned_state_keeps_its_values(dim, n):
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
+    c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
+    s = step(initial_state(u0), p, c, steps=5)
+    kept = (s.u.values.copy(), s._uh.copy(), s._factors[1].copy())
+    arrays = (s.u.values, s._uh, s._factors[1])
+    later = step(s, p, c, steps=5)
+    step(later, p, c, steps=5)
+    step(s, p, c)
+    for arr, before in zip(arrays, kept):
+        assert not arr.flags.writeable
+        assert np.array_equal(arr, before)
+    # each call works in its own arrays
+    assert not np.shares_memory(later._uh, s._uh)
+    assert not np.shares_memory(later._factors[1], s._factors[1])
+
+
+@pytest.mark.parametrize(
+    "kind, u_of_x, params, ctrl",
+    [
+        # an under-resolved bump rings to -2.9e-4 on its first step and
+        # past the budget on its second
+        (NegativityError, lambda x: 3.0 * np.exp(-(x**2) / 0.5),
+         dict(chi=1.0, a=1.0, b=1.0), dict(dt=0.01, negativity_budget=3.5e-4, blowup_threshold=1e9)),
+        # logistic growth towards a/b = 4 crosses 2 after some steps
+        (BlowupError, lambda x: np.ones_like(x),
+         dict(chi=0.3, a=2.0, b=0.5), dict(dt=0.01, negativity_budget=1e-10, blowup_threshold=2.0)),
+    ],
+)
+def test_an_abort_in_one_call_matches_single_steps(kind, u_of_x, params, ctrl):
+    g = make_grid(1, 64, 10.0)
+    p = Params(dim=1, **params)
+    c = StepControl(t_end=10.0, **ctrl)
+    s = initial_state(Field(g, u_of_x(g.axes[0])))
+    with pytest.raises(kind) as one:
+        step(s, p, c, steps=200)
+    with pytest.raises(kind) as single:
+        for _ in range(200):
+            s = step(s, p, c)
+    one, single = one.value, single.value
+    assert one.t > 1.5 * c.dt  # not on the call's first step
+    assert str(one) == str(single)
+    assert (one.t, one.value) == (single.t, single.value)
