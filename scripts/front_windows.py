@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from kslogistic.diagnostics import FrontTrace, estimate_speed
+from kslogistic.diagnostics import estimate_speed
 from kslogistic.harness import run
 from kslogistic.scenario import bundled_scenario_path, load_scenario
 
@@ -29,18 +29,11 @@ def main(argv=None) -> int:
         print(f"run aborted: {report.abort['message']}")
         return 1
 
-    times = np.asarray(report.times)
-    trace = FrontTrace(
-        times=times,
-        radii=np.asarray(report.series["front_radius"]),
-        valid=np.asarray(report.series["front_valid"], dtype=bool),
-        level=scenario.params.a / (2.0 * scenario.params.b),
-        guard=scenario.diagnostics.guard,
-    )
-    t_end = float(times[-1])
+    trace = report.times, report.series["front_radius"], report.series["front_valid"]
+    t_end = float(report.times[-1])
     print(f"{args.scenario}: window -> fitted speed (target 2 as t -> inf)")
     for t0 in (float(tok) for tok in args.starts.split(",") if tok.strip()):
-        est = estimate_speed(trace, window=(t0, t_end))
+        est = estimate_speed(*trace, window=(t0, t_end))
         # expected deficit from the (3/2) ln t front lag across the window
         lag = 1.5 * (np.log(t_end) - np.log(t0)) / (t_end - t0)
         print(

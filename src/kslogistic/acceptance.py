@@ -27,16 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .checks import CHECKS, RunRecord
-from .diagnostics import (
-    FrontTrace,
-    TimeSeries,
-    boundary_guard,
-    check_lr_growth,
-    cstar_functional,
-    equilibrium_distance,
-    estimate_speed,
-    sandwich_check,
-)
+from .diagnostics import cstar_functional, equilibrium_distance, estimate_speed
 from .grid import Field, make_grid
 from .harness import _pool_size, run, run_many
 from .helmholtz import grad_potential, solve
@@ -376,44 +367,6 @@ def crit_mutation_sanity():
     def record(label, was_caught):
         (caught if was_caught else missed).append(label)
 
-    # v pushed above max u must break the resolvent sandwich
-    v_bad = Field(g, v.values + 0.5)
-    record("sandwich", not sandwich_check(u, v_bad).passed)
-
-    # a series 1 percent over the growth bound must be flagged
-    t = np.linspace(0.0, 2.0, 21)
-    bad = TimeSeries("mass", t, 5.0 * np.exp(t) * 1.01)
-    record("mass_growth", not check_lr_growth(bad, 5.0, 1.0, 1e-6).passed)
-
-    # a contaminated guard band must be flagged
-    u_far = Field(g, u.values + 1e-3)
-    record("boundary_guard", not boundary_guard(u_far, 0.0).passed)
-
-    # a stalled front must fall out of the admitted speed window
-    tt = np.linspace(0.0, 10.0, 41)
-    stalled = FrontTrace(tt, 0.05 * tt, np.ones_like(tt, dtype=bool), 0.5, 0.1)
-    est = estimate_speed(stalled)
-    record("speed_range", not (1.80 <= est.speed <= 2.05))
-
-    # a trace entirely beyond the guard must be refused outright
-    beyond = FrontTrace(tt, np.full_like(tt, 9.5), np.zeros_like(tt, dtype=bool), 0.5, 0.1)
-    try:
-        estimate_speed(beyond)
-        record("invalid_trace", False)
-    except ValueError:
-        record("invalid_trace", True)
-
-    # v above a / chi must make the far-field floor undefined
-    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
-    v_big = Field(g, np.full(g.shape, 2.5))
-    scan = cstar_functional(u, v_big, p, inner_radius=2.0)
-    record("cstar_positive", not scan.all_defined or scan.speed_min <= 0)
-
-    # a state far from a / b must fail the equilibrium tolerance
-    u_off = Field(g, np.full(g.shape, 2.0))
-    du, dv = equilibrium_distance(u_off, u_off, p)
-    record("equilibrium", du + dv > 1e-3)
-
     # a run through the blow-up threshold must abort and fail
     doomed = scenario_from_dict(
         {
@@ -430,17 +383,71 @@ def crit_mutation_sanity():
     rep = run(doomed)
     record("abort_detection", rep.abort is not None and not rep.ok)
 
-    # sup u over the envelope by 0.9 of the check's slack must pass and
+    # The check units that reports carry, with their default parameters,
+    # fed as a run of doomed feeds them: (u, v) per sample to observe,
+    # then the base series to verdict.  Each must pass clean input and
+    # fail corrupted input.
+    t, pd = np.linspace(0.0, 2.0, 21), doomed.params
+
+    def unit_passes(name, series=None, states=()):
+        rec = RunRecord(doomed, classify(pd), dict(series or {}), list(t))
+        unit = CHECKS[name](dict(CHECKS[name].schema))
+        for s, (us, vs) in zip(t, states):
+            unit.observe(s, us, vs, rec)
+        return unit.verdict(rec).passed
+
+    # v pushed above max u at one sample of three must break the sandwich
+    v_bad = Field(g, v.values + 0.5)
+    record("sandwich", unit_passes("sandwich", states=[(u, v)] * 3)
+           and not unit_passes("sandwich", states=[(u, v), (u, v_bad), (u, v)]))
+
+    # a guard band contaminated at one sample of three must be flagged
+    u_far = Field(g, u.values + 1e-3)
+    record("boundary_guard", unit_passes("boundary_guard", states=[(u, v)] * 3)
+           and not unit_passes("boundary_guard", states=[(u, v), (u_far, v), (u, v)]))
+
+    # a series over its bound by 0.9 of the check's slack must pass and
     # by 1.1 of it must fail, so the slack can be neither widened nor
-    # narrowed; the slack is tol * (1 + m0)
-    m0, tol, pd = 3.0, CHECKS["envelope"].schema["tol"], doomed.params
+    # narrowed: for mass_growth the slack is tol relative to mass(0)
+    # e^(a t), for the envelope tol * (1 + m0)
+    m0, tol = 3.0, CHECKS["mass_growth"].schema["tol"]
+
+    def mass_passes(excess):
+        mass = [m0] + [m0 * math.exp(pd.a * s) * (1.0 + excess * tol) for s in t[1:]]
+        return unit_passes("mass_growth", {"mass": mass})
+
+    record("mass_growth", mass_passes(0.9) and not mass_passes(1.1))
+
+    tol = CHECKS["envelope"].schema["tol"]
 
     def envelope_passes(excess):
         linf = [m0] + [upper_envelope(s, m0, pd) + excess * tol * (1.0 + m0) for s in t[1:]]
-        rec = RunRecord(doomed, classify(pd), {"linf": linf}, list(t))
-        return CHECKS["envelope"]({"tol": tol}).verdict(rec).passed
+        return unit_passes("envelope", {"linf": linf})
 
     record("envelope", envelope_passes(0.9) and not envelope_passes(1.1))
+
+    # a stalled front must fall out of the admitted speed window
+    tt = np.linspace(0.0, 10.0, 41)
+    est = estimate_speed(tt, 0.05 * tt, np.ones_like(tt, dtype=bool))
+    record("speed_range", not (1.80 <= est.speed <= 2.05))
+
+    # a trace entirely beyond the guard must be refused outright
+    try:
+        estimate_speed(tt, np.full_like(tt, 9.5), np.zeros_like(tt, dtype=bool))
+        record("invalid_trace", False)
+    except ValueError:
+        record("invalid_trace", True)
+
+    # v above a / chi must make the far-field floor undefined
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    v_big = Field(g, np.full(g.shape, 2.5))
+    scan = cstar_functional(u, v_big, p, inner_radius=2.0)
+    record("cstar_positive", not scan.all_defined or scan.speed_min <= 0)
+
+    # a state far from a / b must fail the equilibrium tolerance
+    u_off = Field(g, np.full(g.shape, 2.0))
+    du, dv = equilibrium_distance(u_off, u_off, p)
+    record("equilibrium", du + dv > 1e-3)
 
     passed = not missed
     detail = f"{len(caught)}/{len(caught) + len(missed)} corruptions caught"

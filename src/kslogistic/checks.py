@@ -8,22 +8,22 @@ as long as the run it watches.  ``run`` is the run's ``RunRecord``: the
 base series, the far-field scan, the speed fit, the events and the
 abort.
 
-Checks carry two flags.  passed is the measurement outcome; asserted
-says whether the regime hypothesis behind the check holds, so a failed
-unasserted check is information, not an error.
+A verdict is a ``diagnostics.CheckVerdict``, the type the rules there
+return too.  It carries two flags: passed is the measurement outcome,
+asserted says whether the regime hypothesis behind the check holds, so
+a failed unasserted check is information, not an error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .diagnostics import (
-    CheckResult,
-    TimeSeries,
+    CheckVerdict,
     _radius_mesh,
     boundary_guard,
     check_lr_growth,
@@ -39,24 +39,6 @@ __all__ = ["CHECKS", "REQUIRED", "Check", "CheckVerdict", "RunRecord"]
 
 #: schema marker for a parameter without a default
 REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class CheckVerdict:
-    name: str
-    passed: bool
-    asserted: bool
-    margin: float
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        # numpy scalars in, plain JSON-ready values out
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "asserted", bool(self.asserted))
-        object.__setattr__(self, "margin", float(self.margin))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -99,15 +81,14 @@ class Check:
 class _WorstSample(Check):
     """A per-sample test whose verdict is its smallest-margin sample."""
 
-    worst: Optional[CheckResult] = None
+    worst: Optional[CheckVerdict] = None
 
-    def keep(self, t: float, res: CheckResult) -> None:
+    def keep(self, t: float, res: CheckVerdict) -> None:
         if self.worst is None or res.margin < self.worst.margin:
-            self.worst = replace(res, detail=f"t={t:.6g}: {res.detail}")
+            self.worst = replace(res, detail=f"worst t={t:.6g}: {res.detail}")
 
     def verdict(self, run: RunRecord) -> CheckVerdict:
-        w = self.worst
-        return CheckVerdict(self.name, w.passed, True, w.margin, f"worst {w.detail}")
+        return self.worst
 
 
 class Sandwich(_WorstSample):
@@ -151,16 +132,10 @@ class MassGrowth(Check):
             run.series.setdefault(self.label, []).append(lp_norm(u, self.cfg["r"]))
 
     def verdict(self, run):
-        r, tol = self.cfg["r"], self.cfg["tol"]
-        values = run.series[self.label]
-        series = TimeSeries(label=self.label, times=np.asarray(run.times), values=np.asarray(values))
-        res = check_lr_growth(series, values[0], run.params.a, tol)
-        max_r = run.regime.max_safe_r
-        asserted = r <= max_r
-        note = "" if asserted else (
-            f" [not asserted: r={r:g} exceeds the safe exponent {max_r:g}]"
-        )
-        return CheckVerdict(self.name, res.passed, asserted, res.margin, res.detail + note)
+        r, max_r = self.cfg["r"], run.regime.max_safe_r
+        res = check_lr_growth(run.times, run.series[self.label], run.params.a, self.cfg["tol"])
+        note = "" if r <= max_r else f" [not asserted: r={r:g} exceeds the safe exponent {max_r:g}]"
+        return replace(res, asserted=r <= max_r, detail=res.detail + note)
 
 
 class Envelope(Check):

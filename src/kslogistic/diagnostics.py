@@ -1,17 +1,19 @@
-"""Run-time measurements and qualitative property checks.
+"""Run-time measurements and the rules the checks apply to them.
 
-Checkers return a CheckResult rather than raising: a run is allowed to
-finish with failed checks, and the harness decides which failures count
+The rules (sandwich_check, boundary_guard, check_lr_growth) return a
+CheckVerdict rather than raising, the one verdict type that the check
+units in ``checks`` keep and reports carry: a run is allowed to finish
+with failed checks, and the harness decides which failures count
 against the exit status (only those whose hypotheses the parameter
-regime satisfies).  Margins are signed: positive means slack, negative
-means violation, so mutation tests can assert that corrupted inputs
-drive them below zero.
+regime satisfies, the verdict's asserted flag).  Margins are signed:
+positive means slack, negative means violation, so mutation tests can
+assert that corrupted inputs drive them below zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -22,9 +24,7 @@ from .helmholtz import grad_potential
 from .params import Params
 
 __all__ = [
-    "CheckResult",
-    "TimeSeries",
-    "FrontTrace",
+    "CheckVerdict",
     "SpeedEstimate",
     "CstarScan",
     "lp_norm",
@@ -40,41 +40,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckVerdict:
+    """passed is the measurement outcome; asserted says whether the
+    regime hypothesis behind the check holds."""
+
     name: str
     passed: bool
+    asserted: bool
     margin: float
     detail: str = ""
 
-
-@dataclass(frozen=True)
-class TimeSeries:
-    label: str
-    times: np.ndarray
-    values: np.ndarray
-
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if t.shape != v.shape or t.ndim != 1:
-            raise ValueError("times and values must be 1-D arrays of equal length")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        # numpy scalars in, plain JSON-ready values out
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "asserted", bool(self.asserted))
+        object.__setattr__(self, "margin", float(self.margin))
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
-class FrontTrace:
-    """Leading-edge radius per sample; valid turns False once the front
-    enters the outer guard band of the box."""
-
-    times: np.ndarray
-    radii: np.ndarray
-    valid: np.ndarray
-    level: float
-    guard: float
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -136,28 +119,23 @@ def lp_norm(f: Field, p: float) -> float:
     )
 
 
-def check_lr_growth(
-    series: TimeSeries, u0_norm: float, a: float, tol: float
-) -> CheckResult:
-    """Is series(t) <= u0_norm * e^(a t) * (1 + tol) at every sample?
+def check_lr_growth(times, values, a: float, tol: float) -> CheckVerdict:
+    """Is values(t) <= values[0] * e^(a t) * (1 + tol) at every sample?
 
     margin is the smallest relative slack (bound - value)/bound.
     """
-    if u0_norm < 0 or tol < 0:
-        raise ValueError("u0_norm and tol must be nonnegative")
-    bounds = u0_norm * np.exp(a * series.times) * (1.0 + tol)
-    scale = np.maximum(bounds, 1e-300)
-    slack = (bounds - series.values) / scale
+    times, values = np.asarray(times, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    if values[0] < 0 or tol < 0:
+        raise ValueError("values[0] and tol must be nonnegative")
+    bounds = values[0] * np.exp(a * times) * (1.0 + tol)
+    slack = (bounds - values) / np.maximum(bounds, 1e-300)
     worst = int(np.argmin(slack))
-    margin = float(slack[worst])
-    return CheckResult(
-        name=f"growth[{series.label}]",
-        passed=bool(margin >= 0.0),
-        margin=margin,
-        detail=(
-            f"worst at t={series.times[worst]:.6g}: value {series.values[worst]:.6g} "
-            f"vs bound {bounds[worst]:.6g}"
-        ),
+    return CheckVerdict(
+        "mass_growth",
+        slack[worst] >= 0.0,
+        True,
+        slack[worst],
+        f"worst at t={times[worst]:.6g}: value {values[worst]:.6g} vs bound {bounds[worst]:.6g}",
     )
 
 
@@ -171,10 +149,9 @@ def front_radius(u: Field, level: float) -> float:
     return float(_radius_mesh(u.grid)[hit].max())
 
 
-def front_trace(
-    snapshots: Sequence[tuple], level: float, guard: float = 0.1
-) -> FrontTrace:
-    """Track the level set through (t, Field) snapshots.
+def front_trace(snapshots: Sequence[tuple], level: float, guard: float = 0.1) -> tuple:
+    """Track the level set through (t, Field) snapshots: (times, radii,
+    valid), the arrays estimate_speed takes.
 
     A sample is valid while the radius stays at or below
     (1 - guard) * half_width.
@@ -183,37 +160,31 @@ def front_trace(
         raise ValueError(f"guard must lie in [0, 1), got {guard}")
     if len(snapshots) == 0:
         raise ValueError("no snapshots")
-    times, radii = [], []
-    L = snapshots[0][1].grid.half_width
-    for t, f in snapshots:
-        times.append(float(t))
-        radii.append(front_radius(f, level))
-    times = np.asarray(times)
-    radii = np.asarray(radii)
-    valid = radii <= (1.0 - guard) * L
-    return FrontTrace(times=times, radii=radii, valid=valid, level=level, guard=guard)
+    times = np.array([float(t) for t, _ in snapshots])
+    radii = np.array([front_radius(f, level) for _, f in snapshots])
+    return times, radii, radii <= (1.0 - guard) * snapshots[0][1].grid.half_width
 
 
-def estimate_speed(trace: FrontTrace, window: Optional[tuple] = None) -> SpeedEstimate:
+def estimate_speed(times, radii, valid, window: Optional[tuple] = None) -> SpeedEstimate:
     """Least-squares slope of radius vs time over valid samples.
 
     window defaults to the last half of the valid samples.  Fewer than 8
     usable samples is an error: a two-point fit would report a speed
     with no meaningful uncertainty.
     """
-    ok = trace.valid.copy()
+    times, radii = np.asarray(times, dtype=np.float64), np.asarray(radii, dtype=np.float64)
+    ok = np.array(valid, dtype=bool)
     if window is None:
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             raise ValueError("no valid samples in trace")
-        t_lo = trace.times[idx[idx.size // 2]]
-        window = (float(t_lo), float(trace.times[idx[-1]]))
-    ok &= (trace.times >= window[0]) & (trace.times <= window[1])
+        window = (float(times[idx[idx.size // 2]]), float(times[idx[-1]]))
+    ok &= (times >= window[0]) & (times <= window[1])
     n = int(ok.sum())
     if n < 8:
         raise ValueError(f"need at least 8 valid samples in window, have {n}")
-    t = trace.times[ok]
-    r = trace.radii[ok]
+    t = times[ok]
+    r = radii[ok]
     if t.max() == t.min():
         raise ValueError("cannot fit a speed to samples that share one time")
     # scipy.stats.linregress's own arithmetic; importing it costs 0.6 s
@@ -276,7 +247,7 @@ def equilibrium_distance(
     return du, dv
 
 
-def sandwich_check(u: Field, v: Field) -> CheckResult:
+def sandwich_check(u: Field, v: Field) -> CheckVerdict:
     """min u <= v <= max u pointwise, with rounding budget
     1e-12 * (1 + ||u||_inf)."""
     umin, umax = float(u.values.min()), float(u.values.max())
@@ -285,15 +256,12 @@ def sandwich_check(u: Field, v: Field) -> CheckResult:
     high = (umax + tol) - float(v.values.max())
     margin = min(low, high)
     side = "below min u" if low < high else "above max u"
-    return CheckResult(
-        name="sandwich",
-        passed=bool(margin >= 0.0),
-        margin=margin,
-        detail=f"tightest side: {side}; u in [{umin:.6g}, {umax:.6g}]",
+    return CheckVerdict(
+        "sandwich", margin >= 0.0, True, margin, f"tightest side: {side}; u in [{umin:.6g}, {umax:.6g}]"
     )
 
 
-def boundary_guard(u: Field, far_value: float, guard: float = 0.1) -> CheckResult:
+def boundary_guard(u: Field, far_value: float, guard: float = 0.1) -> CheckVerdict:
     """Is the outer guard band still flat at far_value?
 
     The band is the set within guard * half_width of a box face; the
@@ -309,9 +277,7 @@ def boundary_guard(u: Field, far_value: float, guard: float = 0.1) -> CheckResul
         raise ValueError("guard band contains no grid points")
     dev = float(np.max(np.abs(u.values[shell] - far_value)))
     budget = 1e-6 * (1.0 + abs(far_value))
-    return CheckResult(
-        name="boundary_guard",
-        passed=bool(dev <= budget),
-        margin=budget - dev,
-        detail=f"max deviation {dev:.3e} against budget {budget:.3e}",
+    return CheckVerdict(
+        "boundary_guard", dev <= budget, True, budget - dev,
+        f"max deviation {dev:.3e} against budget {budget:.3e}",
     )

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .checks import CHECKS, CheckVerdict, RunRecord
 from .diagnostics import (
-    FrontTrace,
     cstar_functional,
     equilibrium_distance,
     estimate_speed,
@@ -278,15 +277,8 @@ def run(scenario: Scenario) -> Report:
         if diag.snapshot_every and i % diag.snapshot_every == 0:
             snapshots.append({"t": t, "u": _frozen(u.values), "v": _frozen(v.values)})
 
-    trace = FrontTrace(
-        times=np.asarray(rec.times),
-        radii=np.asarray(cols["front_radius"]),
-        valid=np.asarray(cols["front_valid"], dtype=bool),
-        level=level,
-        guard=diag.guard,
-    )
     try:
-        est = estimate_speed(trace)
+        est = estimate_speed(rec.times, cols["front_radius"], cols["front_valid"])
         rec.speed = {
             "speed": est.speed,
             "stderr": est.stderr,

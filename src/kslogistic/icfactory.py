@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import Field, Grid
 
-__all__ = ["ICSpec", "realize", "band_limited_noise", "KINDS"]
+__all__ = ["ICSpec", "realize", "placed_center", "band_limited_noise", "KINDS"]
 
 KINDS = (
     "constant",
@@ -67,13 +67,25 @@ class ICSpec:
             raise ValueError("positive_random needs floor > 0")
 
 
-def _center_of(spec: ICSpec, grid: Grid) -> tuple:
+def placed_center(spec: ICSpec, grid: Grid, guard: float) -> tuple:
+    """The spec's center, one component per axis of the grid.
+
+    Compactly supported kinds must fit inside the guard zone, i.e.
+    within (1 - guard) * half_width of the origin along every axis.
+    """
     c = spec.center
-    if np.isscalar(c):
-        return (float(c),) * grid.dim
-    c = tuple(float(x) for x in c)
+    c = (float(c),) * grid.dim if np.isscalar(c) else tuple(float(x) for x in c)
     if len(c) != grid.dim:
         raise ValueError(f"center has {len(c)} components for a {grid.dim}-D grid")
+    if spec.kind in ("smoothed_indicator", "constant_plus_bump"):
+        extent = spec.radius + 3 * spec.width
+        limit = (1.0 - guard) * grid.half_width
+        for x in c:
+            if abs(x) + extent > limit:
+                raise ValueError(
+                    f"{spec.kind} support reaches {abs(x) + extent:.4g}, beyond the "
+                    f"guard boundary {limit:.4g}; shrink it or enlarge the box"
+                )
     return c
 
 
@@ -97,16 +109,6 @@ def _bump(dist: np.ndarray, amplitude: float, radius: float, width: float) -> np
     return out
 
 
-def _support_must_fit(spec: ICSpec, grid: Grid, center: tuple, extent: float, guard: float):
-    limit = (1.0 - guard) * grid.half_width
-    for c in center:
-        if abs(c) + extent > limit:
-            raise ValueError(
-                f"{spec.kind} support reaches {abs(c) + extent:.4g}, beyond the "
-                f"guard boundary {limit:.4g}; shrink it or enlarge the box"
-            )
-
-
 def band_limited_noise(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray:
     """White noise drawn from rng, keeping per-axis modes |j| <= band,
     scaled to unit sup norm."""
@@ -117,22 +119,16 @@ def band_limited_noise(grid: Grid, rng: np.random.Generator, band: int) -> np.nd
 
 
 def realize(spec: ICSpec, grid: Grid, guard: float = 0.1) -> Field:
-    """Sample the spec on the grid.
-
-    Compactly supported kinds must fit inside the guard zone, i.e.
-    within (1 - guard) * half_width of the origin along every axis.
-    """
-    center = _center_of(spec, grid)
+    """Sample the spec on the grid, placed as placed_center checks."""
+    center = placed_center(spec, grid, guard)
     if spec.kind == "constant":
         vals = np.full(grid.shape, spec.amplitude)
     elif spec.kind == "gaussian":
         d = _dist(grid, center)
         vals = spec.amplitude * np.exp(-(d**2) / (2.0 * spec.width**2))
     elif spec.kind == "smoothed_indicator":
-        _support_must_fit(spec, grid, center, spec.radius + 3 * spec.width, guard)
         vals = _bump(_dist(grid, center), spec.amplitude, spec.radius, spec.width)
     elif spec.kind == "constant_plus_bump":
-        _support_must_fit(spec, grid, center, spec.radius + 3 * spec.width, guard)
         vals = spec.floor + _bump(
             _dist(grid, center), spec.amplitude, spec.radius, spec.width
         )

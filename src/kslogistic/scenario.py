@@ -21,7 +21,7 @@ is therefore held to the same rules as a loaded one.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
@@ -31,7 +31,7 @@ import yaml
 from .checks import CHECKS
 from .checks import REQUIRED as _REQUIRED
 from .grid import Grid
-from .icfactory import ICSpec
+from .icfactory import ICSpec, placed_center
 from .params import Params
 from .stepper import StepControl
 
@@ -97,6 +97,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         timing(self)
+        try:  # the rules realize enforces across grid, ic and diagnostics
+            placed_center(self.ic, self.grid, self.diagnostics.guard)
+        except ValueError as e:
+            raise ScenarioError(f"ic: {e}") from None
         if self.diagnostics.front_level is None and self.params.a == 0:
             raise ScenarioError(
                 "diagnostics.front_level: the default level a / (2 b) "
@@ -305,15 +309,10 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
     axis is a dotted path (params.chi, control.dt, grid.n, ic.amplitude)
     or a bare field name that resolves uniquely across those sections.
     Only constructor fields are axes, so derived ones such as grid.h are
-    not.  The copy is validated like a loaded scenario.
+    not.  The copy is the loader's reading of the edited echo, so it is
+    validated, and params.dim set, like a loaded scenario.
     """
-    sections = {
-        "params": scenario.params,
-        "control": scenario.control,
-        "grid": scenario.grid,
-        "ic": scenario.ic,
-    }
-
+    sections = {sec: getattr(scenario, sec) for sec in ("params", "control", "grid", "ic")}
     if "." in axis:
         sec_name, _, fname = axis.partition(".")
         if sec_name not in sections:
@@ -343,14 +342,11 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
         if float(value) != int(value):
             raise ScenarioError(f"axis {axis!r} needs an integer, got {value!r}")
         value = int(value)
-    else:  # float-valued, or an optional numeric field currently unset
-        value = float(value)
+    data = scenario.to_dict()
+    data[sec_name][fname] = value
     try:
-        changes = {sec_name: replace(obj, **{fname: value})}
-        if sec_name == "grid":
-            changes["params"] = replace(scenario.params, dim=changes["grid"].dim)
-        return replace(scenario, **changes)
-    except ValueError as e:
+        return scenario_from_dict(data)
+    except ScenarioError as e:
         raise ScenarioError(f"axis {axis!r} value {value!r} rejected: {e}") from None
 
 

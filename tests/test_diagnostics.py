@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from kslogistic.diagnostics import (
     CstarScan,
-    FrontTrace,
-    TimeSeries,
     boundary_guard,
     check_lr_growth,
     cstar_functional,
@@ -72,22 +70,30 @@ def test_lp_interpolation_inequality(seed, r, p):
 
 
 def test_growth_check_passes_inside_envelope():
-    ts = TimeSeries("mass", np.linspace(0, 2, 9), 3.0 * np.exp(0.8 * np.linspace(0, 2, 9)))
-    res = check_lr_growth(ts, 3.0, 1.0, 1e-6)
+    t = np.linspace(0, 2, 9)
+    res = check_lr_growth(t, 3.0 * np.exp(0.8 * t), 1.0, 1e-6)
     assert res.passed and res.margin > 0
 
 
 def test_growth_check_fails_on_inflated_series():
     t = np.linspace(0, 2, 9)
-    ts = TimeSeries("mass", t, 3.0 * np.exp(1.1 * t))
-    res = check_lr_growth(ts, 3.0, 1.0, 1e-6)
+    res = check_lr_growth(t, 3.0 * np.exp(1.1 * t), 1.0, 1e-6)
     assert not res.passed and res.margin < 0
 
 
 def test_growth_check_zero_rate_monotone():
     t = np.linspace(0, 5, 11)
-    ts = TimeSeries("mass", t, np.full(11, 2.0))
-    assert check_lr_growth(ts, 2.0, 0.0, 1e-8).passed
+    assert check_lr_growth(t, np.full(11, 2.0), 0.0, 1e-8).passed
+
+
+def test_growth_check_anchors_at_first_value():
+    # every later sample 1 percent over its bound from values[0]; an
+    # anchor at any later sample would pass this series
+    t = np.linspace(0, 2, 9)
+    values = 3.0 * np.exp(t) * np.where(t > 0, 1.01, 1.0)
+    res = check_lr_growth(list(t), list(values), 1.0, 1e-6)
+    assert not res.passed and res.margin == pytest.approx((1e-6 - 0.01) / (1 + 1e-6), rel=1e-12)
+    assert res.detail.startswith("worst at t=")
 
 
 def test_front_radius_of_indicator():
@@ -114,14 +120,15 @@ def test_front_trace_validity_flips_in_guard_band():
     snaps = []
     for t, r in [(0.0, 2.0), (1.0, 5.0), (2.0, 9.5)]:
         snaps.append((t, Field(g, (np.abs(g.axes[0]) <= r).astype(float))))
-    tr = front_trace(snaps, level=0.5, guard=0.1)
-    assert list(tr.valid) == [True, True, False]
+    times, radii, valid = front_trace(snaps, level=0.5, guard=0.1)
+    assert list(times) == [0.0, 1.0, 2.0]
+    assert list(valid) == [True, True, False]
+    assert radii == pytest.approx([2.0, 5.0, 9.5], abs=g.h)
 
 
 def test_estimate_speed_exact_affine():
     t = np.linspace(0, 10, 21)
-    tr = FrontTrace(t, 1.5 + 2.0 * t, np.ones(21, bool), 0.5, 0.1)
-    est = estimate_speed(tr, window=(0.0, 10.0))
+    est = estimate_speed(t, 1.5 + 2.0 * t, np.ones(21, bool), window=(0.0, 10.0))
     assert est.speed == pytest.approx(2.0, abs=1e-12)
     assert est.stderr <= 1e-10
     assert est.n_samples == 21
@@ -133,7 +140,7 @@ def test_estimate_speed_matches_scipy_linregress(noise):
 
     t = np.linspace(0.0, 19.0, 77)
     r = 5.0 + 1.87 * t + noise * np.random.default_rng(5).standard_normal(77)
-    est = estimate_speed(FrontTrace(t, r, np.ones(77, bool), 0.5, 0.1), window=(0.0, 19.0))
+    est = estimate_speed(t, r, np.ones(77, bool), window=(0.0, 19.0))
     fit = linregress(t, r)
     assert est.speed == fit.slope
     assert est.stderr == (0.0 if np.isnan(fit.stderr) else fit.stderr)
@@ -141,7 +148,7 @@ def test_estimate_speed_matches_scipy_linregress(noise):
 
 def test_estimate_speed_zero_stderr_on_flat_radius():
     t = np.linspace(0.0, 10.0, 21)
-    est = estimate_speed(FrontTrace(t, np.full(21, 3.0), np.ones(21, bool), 0.5, 0.1))
+    est = estimate_speed(t, np.full(21, 3.0), np.ones(21, bool))
     assert est.speed == 0.0 and est.stderr == 0.0
 
 
@@ -164,8 +171,7 @@ def test_import_does_not_load_scipy_stats():
 def test_estimate_speed_default_window_is_late_half():
     t = np.linspace(0, 10, 21)
     r = np.where(t < 5, 0.0, 2.0 * t)  # early junk, clean late slope
-    tr = FrontTrace(t, r, np.ones(21, bool), 0.5, 0.1)
-    est = estimate_speed(tr)
+    est = estimate_speed(list(t), list(r), [True] * 21)
     assert est.speed == pytest.approx(2.0, abs=1e-9)
 
 
@@ -173,11 +179,12 @@ def test_estimate_speed_needs_enough_samples():
     t = np.linspace(0, 3, 12)
     valid = np.zeros(12, bool)
     valid[:5] = True
-    tr = FrontTrace(t, 2 * t, valid, 0.5, 0.1)
     with pytest.raises(ValueError, match="at least 8"):
-        estimate_speed(tr, window=(0.0, 3.0))
-    with pytest.raises(ValueError):
-        estimate_speed(FrontTrace(t, 2 * t, np.zeros(12, bool), 0.5, 0.1))
+        estimate_speed(t, 2 * t, valid, window=(0.0, 3.0))
+    with pytest.raises(ValueError, match="no valid samples"):
+        estimate_speed(t, 2 * t, np.zeros(12, bool))
+    # the caller's mask is not written to
+    assert list(valid) == [True] * 5 + [False] * 7
 
 
 def cstar_inputs(chi=0.3, level=1.0):
@@ -275,8 +282,3 @@ def test_boundary_guard_2d_shell_is_box_shaped():
     vals = np.where(np.maximum(np.abs(X), np.abs(Y)) >= 9.5, 0.7, 0.0)
     res = boundary_guard(Field(g, vals), far_value=0.0, guard=0.1)
     assert not res.passed
-
-
-def test_time_series_shape_validation():
-    with pytest.raises(ValueError):
-        TimeSeries("x", np.zeros(3), np.zeros(4))

@@ -236,6 +236,16 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="t_end"):
             replace(tiny(), control=StepControl(dt=0.01, t_end=0.55))
 
+    def test_ic_placement_checked_at_load(self):
+        # the rules realize applies, raised before any run
+        with pytest.raises(ScenarioError, match=r"^scenario: ic: center has 2 components for a 1-D grid$"):
+            tiny(ic={"center": [1.0, 2.0]})
+        # the support, radius + 3 width = 5 + 4.5, against (1 - 0.1) * 10
+        with pytest.raises(ScenarioError, match=r"ic: smoothed_indicator support reaches 9.5, beyond the guard boundary 9;"):
+            tiny(ic={"kind": "smoothed_indicator", "radius": 5.0})
+        assert tiny(ic={"center": [1.0]}).ic.center == (1.0,)
+        assert tiny(ic={"kind": "smoothed_indicator", "radius": 4.0}).ic.radius == 4.0
+
 
 class TestWithValue:
     def test_dotted_paths_hit_each_section(self):
@@ -496,20 +506,22 @@ class TestSweep:
         assert "threshold" in rows[1]["message"]
 
     @pytest.mark.parametrize(
-        "axis, good, bad",
+        "axis, good, bad, ic",
         [
-            ("params.chi", 0.1, -0.1),
-            ("grid.n", 128, 7),
-            ("grid.half_width", 12.0, -5.0),
+            ("params.chi", 0.1, -0.1, {}),
+            ("grid.n", 128, 7, {}),
+            ("grid.half_width", 12.0, -5.0, {}),
             # 0.03 does not divide the sample interval 0.1
-            ("control.dt", 0.005, 0.03),
+            ("control.dt", 0.005, 0.03, {}),
+            # the support, radius + 3 width, must stay inside 0.9 half_width
+            ("ic.radius", 2.0, 8.0, {"kind": "smoothed_indicator"}),
         ],
-        ids=["params.chi", "grid.n", "grid.half_width", "control.dt"],
+        ids=["params.chi", "grid.n", "grid.half_width", "control.dt", "ic.radius"],
     )
-    def test_invalid_axis_value_fails_fast(self, axis, good, bad):
+    def test_invalid_axis_value_fails_fast(self, axis, good, bad, ic):
         # a run failure would be recorded in a row; raising means no run started
         with pytest.raises(ScenarioError, match="rejected"):
-            sweep(tiny(), axis, [good, bad])
+            sweep(tiny(ic=ic), axis, [good, bad])
 
     def test_empty_values_rejected(self):
         with pytest.raises(ScenarioError, match="nonempty"):
