@@ -103,17 +103,17 @@ def crit_elliptic_exactness():
     budget = 5.0
     # route one: cosine eigenfunctions have a closed-form resolvent
     worst_eig = 0.0
-    for dim, n, L in ((1, 256, 8.0), (2, 64, 6.0)):
+    cases = (
+        (1, 256, 8.0, ((0,), (1,), (3,), (7,))),
+        (2, 64, 6.0, ((0, 1), (2, 3), (5, 0))),
+        (3, 16, 4.0, ((1, 2, 0), (0, 1, 3))),
+    )
+    for dim, n, L, mode_sets in cases:
         g = make_grid(dim, n, L)
-        for modes in ((0,), (1,), (3,), (7,)) if dim == 1 else ((0, 1), (2, 3), (5, 0)):
+        mesh = np.meshgrid(*g.axes, indexing="ij")
+        for modes in mode_sets:
             k2 = sum((m * math.pi / L) ** 2 for m in modes)
-            if dim == 1:
-                u_vals = np.cos(modes[0] * math.pi * g.axes[0] / L)
-            else:
-                X, Y = np.meshgrid(g.axes[0], g.axes[1], indexing="ij")
-                u_vals = np.cos(modes[0] * math.pi * X / L) * np.cos(
-                    modes[1] * math.pi * Y / L
-                )
+            u_vals = np.prod([np.cos(m * math.pi * X / L) for m, X in zip(modes, mesh)], axis=0)
             v = solve(Field(g, u_vals))
             err = np.max(np.abs(v.values - u_vals / (1.0 + k2)))
             worst_eig = max(worst_eig, float(err))

@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from .grid import DIMS
 from .harness import (
     HarnessError,
     output_root,
@@ -170,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--chi", type=float, required=True)
     p_cls.add_argument("--a", type=float, required=True)
     p_cls.add_argument("--b", type=float, required=True)
-    p_cls.add_argument("--dim", type=int, default=1, choices=(1, 2))
+    p_cls.add_argument("--dim", type=int, default=1, choices=DIMS,
+                       help="spatial dimension N of R^N")
     p_cls.add_argument("--json", action="store_true")
     p_cls.set_defaults(func=_cmd_classify)
 

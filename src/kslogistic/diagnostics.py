@@ -87,20 +87,14 @@ class CstarScan:
 
 @lru_cache(maxsize=16)
 def _radius_mesh(grid: Grid) -> np.ndarray:
-    if grid.dim == 1:
-        return np.abs(grid.axes[0])
-    X, Y = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-    return np.sqrt(X**2 + Y**2)
+    return np.sqrt(sum(X**2 for X in np.meshgrid(*grid.axes, indexing="ij")))
 
 
 @lru_cache(maxsize=16)
 def _box_mesh(grid: Grid) -> np.ndarray:
     """Sup-norm distance from the origin, the distance that matters for
     proximity to the box faces."""
-    if grid.dim == 1:
-        return np.abs(grid.axes[0])
-    X, Y = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-    return np.maximum(np.abs(X), np.abs(Y))
+    return np.max(np.abs(np.meshgrid(*grid.axes, indexing="ij")), axis=0)
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -216,12 +217,7 @@ def run(scenario: Scenario) -> Report:
             try:
                 state = step(state, p, control, steps=per)
             except StepperError as e:
-                rec.abort = {
-                    "kind": type(e).__name__,
-                    "t": e.t,
-                    "value": e.value,
-                    "message": str(e),
-                }
+                rec.abort = {"kind": type(e).__name__, "t": e.t, "value": e.value, "message": str(e)}
                 rec.events.append({"t": e.t, "kind": "abort", "message": str(e)})
                 break
         t = i * diag.sample_interval
@@ -314,20 +310,16 @@ def output_root(outdir=None) -> Path:
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return float.__repr__(float(x))
     return str(x)
 
 
 def write_series_csv(report: Report, path) -> None:
     path = Path(path)
     lines = [",".join(CSV_COLUMNS)]
-    n = len(report.times)
-    for i in range(n):
-        row = [_fmt(float(report.times[i]))]
-        for name in CSV_COLUMNS[1:]:
-            row.append(_fmt(report.series[name][i]))
-        lines.append(",".join(row))
+    for i, t in enumerate(report.times):
+        lines.append(",".join([_fmt(float(t))] + [_fmt(report.series[name][i]) for name in CSV_COLUMNS[1:]]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -374,17 +366,15 @@ def emit_plot_data(report: Report, plots_dir, force: bool = False) -> dict:
         series_files[label] = fname
 
     snapshot_files = []
-    xs = list(map(float.__repr__, g.axes[0].tolist()))
-    if dim == 2:
-        ys = list(map(float.__repr__, g.axes[1].tolist()))
-        xs = [f"{x} {y}" for x in xs for y in ys]
+    # one row per point in C order: its coordinates, joined once, then u and v
+    coords = list(map(" ".join, product(*(map(float.__repr__, ax.tolist()) for ax in g.axes))))
     for k, (snap, (u, v)) in enumerate(zip(report.snapshots, report._reprs())):
         fname = f"snapshot_{k:04d}.dat"
-        rows = list(map(" ".join, zip(xs, u, v)))
-        if dim == 2:  # gnuplot blocks: a blank line closes each x
+        rows = list(map(" ".join, zip(coords, u, v, strict=True)))
+        if dim > 1:  # gnuplot blocks: a blank line closes each run of the last axis
             for i in range(g.n - 1, len(rows), g.n):
                 rows[i] += "\n"
-        head = f"# t = {float(snap['t'])!r}\n# {'x y' if dim == 2 else 'x'} u v\n"
+        head = f"# t = {float(snap['t'])!r}\n# {' '.join('xyz'[:dim])} u v\n"
         (plots_dir / fname).write_text(head + "\n".join(rows) + "\n")
         snapshot_files.append({"t": snap["t"], "file": fname})
 

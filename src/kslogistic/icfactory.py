@@ -65,6 +65,8 @@ class ICSpec:
                 raise ValueError(f"radius must be nonnegative for {self.kind}")
         if self.kind == "positive_random" and not self.floor > 0:
             raise ValueError("positive_random needs floor > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def placed_center(spec: ICSpec, grid: Grid, guard: float) -> tuple:
@@ -90,10 +92,8 @@ def placed_center(spec: ICSpec, grid: Grid, guard: float) -> tuple:
 
 
 def _dist(grid: Grid, center: tuple) -> np.ndarray:
-    if grid.dim == 1:
-        return np.abs(grid.axes[0] - center[0])
-    X, Y = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-    return np.sqrt((X - center[0]) ** 2 + (Y - center[1]) ** 2)
+    mesh = np.meshgrid(*grid.axes, indexing="ij")
+    return np.sqrt(sum((X - c) ** 2 for X, c in zip(mesh, center)))
 
 
 def _bump(dist: np.ndarray, amplitude: float, radius: float, width: float) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 chi is the sensitivity of the drift toward the attractant, a the linear
 growth rate, b the quadratic damping.  b > 0 is required throughout;
-chi and a only need to be nonnegative.
+chi and a only need to be nonnegative.  dim is N in R^N, one of
+``grid.DIMS``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grid import check_dim
 
 __all__ = ["Params"]
 
@@ -32,5 +35,4 @@ class Params:
             raise ValueError(f"a must be nonnegative, got {self.a}")
         if not self.b > 0:
             raise ValueError(f"b must be positive, got {self.b}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        check_dim(self.dim)

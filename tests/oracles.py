@@ -263,11 +263,18 @@ def snapshot_tables(report):
         if dim == 1:
             lines.append("# x u v")
             lines += [f"{x!r} {uu!r} {vv!r}" for x, uu, vv in zip(xs, u, v)]
-        else:
+        elif dim == 2:
             lines.append("# x y u v")
             ys = g.axes[1].tolist()
             for x, urow, vrow in zip(xs, u, v):
                 lines += [f"{x!r} {y!r} {uu!r} {vv!r}" for y, uu, vv in zip(ys, urow, vrow)]
                 lines.append("")
+        else:
+            lines.append("# x y z u v")
+            for i, j, k in np.ndindex(g.shape):
+                x, y, z = (float(g.axes[a][m]) for a, m in enumerate((i, j, k)))
+                lines.append(f"{x!r} {y!r} {z!r} {u[i][j][k]!r} {v[i][j][k]!r}")
+                if k == g.n - 1:
+                    lines.append("")
         tables[fname] = "\n".join(lines) + "\n"
     return tables

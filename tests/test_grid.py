@@ -39,7 +39,7 @@ def test_max_wavenumber_magnitude():
     assert np.sqrt(np.max(g.half.k2)) == pytest.approx(np.pi * 32 / 10.0)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 12, 24])
 def test_half_layout_is_full_layout_restricted_to_last_axis_half(dim, n):
     g = make_grid(dim, n, 2.5)
@@ -56,15 +56,15 @@ def test_half_layout_is_full_layout_restricted_to_last_axis_half(dim, n):
     assert hs.mask[(0,) * (dim - 1) + (n // 3 + 1,)] == 0.0
     assert np.all(hs.modes[..., n // 2] == n // 2)
     assert np.all(hs.ik[-1][..., n // 2] == 0.0)
-    if dim == 2:
-        assert np.all(hs.ik[0][n // 2, :] == 0.0)
+    for a in range(dim - 1):
+        assert np.all(np.take(hs.ik[a], n // 2, axis=a) == 0.0)
     assert hs.k2[(0,) * (dim - 1) + (n // 2,)] == (np.pi * (n // 2) / 2.5) ** 2
 
 
 @settings(deadline=None, max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dim=st.sampled_from([1, 2]),
+    dim=st.sampled_from([1, 2, 3]),
     n=st.sampled_from([8, 16, 24]),
 )
 def test_transform_round_trip(seed, dim, n):
@@ -81,7 +81,7 @@ def _batch(g, rows, seed):
     return x, g.rfft(x)
 
 
-@pytest.mark.parametrize("dim, n", [(1, 1024), (1, 96), (2, 128), (2, 96)])
+@pytest.mark.parametrize("dim, n", [(1, 1024), (1, 96), (2, 128), (2, 96), (3, 16)])
 @pytest.mark.parametrize("rows", [1, 4])
 def test_transforms_into_out_give_the_same_bits(dim, n, rows):
     g = make_grid(dim, n, 3.0)
@@ -116,7 +116,7 @@ def test_transforms_match_scipy_at_96_squared():
 
 
 @settings(deadline=None, max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]))
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]))
 def test_zero_mode_is_mean(seed, dim):
     g = make_grid(dim, 16, 2.5)
     f = white_field(g, seed)
@@ -127,7 +127,7 @@ def test_zero_mode_is_mean(seed, dim):
 
 
 @settings(deadline=None, max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]))
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]))
 def test_parseval(seed, dim):
     # h^dim * sum |f|^2 == (2L)^dim * sum |fhat|^2 under forward scaling
     g = make_grid(dim, 16, 4.0)
@@ -207,7 +207,7 @@ def test_dealias_mask_two_thirds_rule():
 
 @pytest.mark.parametrize(
     "dim,n,L",
-    [(3, 16, 1.0), (0, 16, 1.0), (1, 7, 1.0), (1, 2, 1.0), (1, 16, 0.0), (1, 16, -2.0)],
+    [(4, 16, 1.0), (0, 16, 1.0), (1, 7, 1.0), (1, 2, 1.0), (1, 16, 0.0), (1, 16, -2.0)],
 )
 def test_grid_rejects_bad_arguments(dim, n, L):
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from kslogistic.scenario import (
     with_value,
 )
 from kslogistic.stepper import StepControl
+
+THREED_SMOKE = Path(__file__).parent / "data" / "threed_smoke.yaml"
 
 TINY = {
     "schema_version": 1,
@@ -213,13 +216,15 @@ class TestSchema:
         "patch, match",
         [
             ({"grid": {"n": 7}}, r"grid: n must be even"),
-            ({"grid": {"dim": 3}}, r"grid: dim must be 1 or 2"),
+            ({"grid": {"dim": 4}}, r"grid: dim must be one of"),
             ({"grid": {"half_width": -1.0}}, r"grid: half_width must be positive"),
             ({"diagnostics": {"sample_interval": 0.1, "guard": 0.7}}, r"diagnostics: guard"),
             ({"diagnostics": {"sample_interval": 0.1, "snapshot_every": -1}},
              r"diagnostics: snapshot_every"),
             ({"diagnostics": {"sample_interval": 0.1, "front_level": 0.0}},
              r"diagnostics: front_level"),
+            ({"ic": {"kind": "positive_random", "floor": 0.5, "seed": -1}},
+             r"ic: seed must be nonnegative"),
         ],
     )
     def test_section_validation_is_wrapped(self, patch, match):
@@ -451,6 +456,19 @@ class TestOutputs:
             assert np.array_equal(table[:, dim], np.ravel(snap["u"]))
             assert np.array_equal(table[:, dim + 1], np.ravel(snap["v"]))
 
+    def test_three_dimensional_run_writes_every_point(self, tmp_path):
+        sc = load_scenario(THREED_SMOKE)
+        rep, paths = run_experiment(sc, outdir=tmp_path)
+        assert rep.ok
+        assert {v.name for v in rep.checks if v.passed} == {"sandwich", "mass_growth", "envelope"}
+        n = sc.grid.n
+        for entry in json.loads((paths["plots"] / "manifest.json").read_text())["snapshot_files"]:
+            text = (paths["plots"] / entry["file"]).read_text()
+            assert text.splitlines()[1] == "# x y z u v"
+            assert np.loadtxt(paths["plots"] / entry["file"]).shape == (n**3, 5)
+            # gnuplot blocks: one blank line after each run of the last axis
+            assert text.count("\n\n") == n * n
+
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -495,6 +513,16 @@ class TestSweep:
         write_sweep_csv(rows, "params.chi", path)
         header = path.read_text().splitlines()[0]
         assert header.startswith("value(params.chi),status,passed")
+
+    def test_csv_values_from_a_numpy_axis_parse_as_numbers(self, tmp_path):
+        values = np.array([0.1, 0.2])
+        rows = sweep(tiny(), "params.chi", values)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(rows, "params.chi", path)
+        with path.open() as fh:
+            table = list(csv.DictReader(fh))
+        assert [float(r["value(params.chi)"]) for r in table] == values.tolist()
+        assert all(float(r["final_mass"]) > 0 for r in table)
 
     def test_failed_run_recorded_and_sweep_continues(self):
         rows = sweep(
@@ -618,6 +646,13 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["stability"] is True
         assert doc["cstar_floor"] is not None
+
+    def test_classify_three_dimensional_json(self, capsys):
+        assert main(["classify", "--chi", "0.3", "--a", "2", "--b", "1", "--dim", "3", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"]["dim"] == 3
+        assert doc["thresholds"]["half_dim"] == 1.5
+        assert doc["thresholds"]["spreading_chi_below"] == pytest.approx(2 * 1 / (3 + math.sqrt(1 + 3 * 2)))
 
     def test_run_writes_and_exits_zero(self, tmp_path, capsys):
         path = self.write_tiny(tmp_path)

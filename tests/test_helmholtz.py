@@ -78,7 +78,7 @@ def test_self_adjoint():
 
 
 @settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]))
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]))
 def test_gradient_bound(seed, dim):
     # ||grad (I-lap)^(-1) u||_inf <= sqrt(dim) ||u||_inf
     g = make_grid(dim, 32, 4.0)

@@ -32,6 +32,15 @@ def test_gaussian_mass_2d():
     assert lp_norm(f, 1) == pytest.approx(amp * 2 * math.pi * sigma**2, abs=1e-8)
 
 
+def test_gaussian_3d_mass_and_center():
+    g = make_grid(3, 48, 10.0)
+    amp, sigma = 1.2, 1.0
+    f = realize(ICSpec(kind="gaussian", amplitude=amp, center=(2.0, -3.0, 1.0), width=sigma), g)
+    assert lp_norm(f, 1) == pytest.approx(amp * (2 * math.pi) ** 1.5 * sigma**3, rel=1e-10)
+    i = np.unravel_index(np.argmax(f.values), f.values.shape)
+    assert [g.axes[a][i[a]] for a in range(3)] == pytest.approx([2.0, -3.0, 1.0], abs=g.h)
+
+
 def test_gaussian_off_center():
     g = make_grid(2, 64, 10.0)
     f = realize(ICSpec(kind="gaussian", amplitude=1.0, center=(2.0, -3.0), width=1.0), g)
@@ -89,7 +98,7 @@ def test_positive_random_is_seed_deterministic():
     assert not np.array_equal(f1.values, other.values)
 
 
-@pytest.mark.parametrize("dim, n, band", [(1, 256, 8), (1, 96, 16), (2, 32, 8), (2, 48, 8)])
+@pytest.mark.parametrize("dim, n, band", [(1, 256, 8), (1, 96, 16), (2, 32, 8), (2, 48, 8), (3, 16, 4)])
 def test_band_limited_noise_equals_full_fft_construction(dim, n, band):
     g = make_grid(dim, n, 5.0)
     got = band_limited_noise(g, np.random.default_rng(17), band)
@@ -134,6 +143,8 @@ def test_icspec_validation():
         ICSpec(kind="positive_random", floor=0.0)
     with pytest.raises(ValueError):
         ICSpec(kind="constant", floor=-0.5)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ICSpec(kind="positive_random", floor=0.5, seed=-1)
 
 
 def test_center_dimension_checked():

@@ -154,6 +154,16 @@ def test_classify_two_dimensional_threshold():
     assert not classify(Params(chi=0.43, a=1.0, b=1.0, dim=2)).spreading
 
 
+def test_classify_three_dimensional_thresholds():
+    # 2/(3 + sqrt(4)) = 0.4; the moment route needs 3/2 < chi/(chi - b)
+    r = classify(Params(chi=0.39, a=1.0, b=1.0, dim=3))
+    assert r.spreading and r.thresholds["spreading_chi_below"] == pytest.approx(0.4)
+    assert not classify(Params(chi=0.41, a=1.0, b=1.0, dim=3)).spreading
+    assert classify(Params(chi=2.9, a=1.0, b=1.0, dim=3)).moment_route_bounded
+    assert not classify(Params(chi=3.1, a=1.0, b=1.0, dim=3)).moment_route_bounded
+    assert classify(Params(chi=3.1, a=1.0, b=1.0, dim=2)).moment_route_bounded
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     chi=st.floats(0.0, 3.0),

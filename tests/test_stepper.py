@@ -254,7 +254,7 @@ def test_matches_full_fft_scheme_over_200_steps(dim, n, chi, dealias):
     assert np.max(np.abs(s.u.values - ref)) <= 1e-12 * (1.0 + amp)
 
 
-@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32), (3, 16)])
 def test_v_after_a_step_is_resolvent_of_u(dim, n):
     g, u0 = _initial(dim, n, 8.0)
     p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
@@ -366,7 +366,7 @@ def _count_transforms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("dim, n, expect", [(1, 128, 9), (2, 32, 13)])
+@pytest.mark.parametrize("dim, n, expect", [(1, 128, 9), (2, 32, 13), (3, 16, 17)])
 def test_transforms_per_step_with_chemotaxis(monkeypatch, dim, n, expect):
     # a later step starts from the carried factors; a step from a fresh
     # state also transforms u0 and then makes those factors (1 + dim)
@@ -485,7 +485,7 @@ def _same_state(a, b):
     assert np.array_equal(a._factors[1], b._factors[1])
 
 
-@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
 @pytest.mark.parametrize("chi", [0.0, 0.5])
 @pytest.mark.parametrize("fresh", [True, False])
 def test_steps_in_one_call_equal_single_steps(dim, n, chi, fresh):

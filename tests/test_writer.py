@@ -25,6 +25,7 @@ BASE = {
 GRIDS = {
     "1d": {"dim": 1, "n": 64, "half_width": 10.0},
     "2d": {"dim": 2, "n": 16, "half_width": 6.0},
+    "3d": {"dim": 3, "n": 8, "half_width": 4.0},
 }
 
 
