@@ -19,7 +19,6 @@ checker against corrupted inputs that it must reject.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .checks import CHECKS, RunRecord
 from .diagnostics import cstar_functional, equilibrium_distance, estimate_speed
-from .grid import Field, make_grid
+from .grid import Field, make_grid, usable_cpus
 from .harness import _pool_size, run, run_many
 from .helmholtz import grad_potential, solve
 from .icfactory import band_limited_noise
@@ -498,13 +497,6 @@ def _pool_run(scenario):
     return run(scenario)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def run_one(name: str) -> CriterionResult:
     if name not in CRITERIA:
         raise ValueError(f"unknown criterion {name!r}; known: {sorted(CRITERIA)}")
@@ -527,7 +519,7 @@ def run_all(names=None, echo=None):
     echo = echo or (lambda line: None)
     picked = list(CRITERIA) if not names else list(names)
     todo = [r for r in dict.fromkeys(r for name in picked for r in runs_read(name)) if r not in _REPORTS]
-    workers = _pool_size(len(todo), _usable_cpus())
+    workers = _pool_size(len(todo), usable_cpus())
     t0 = time.perf_counter()
     results = []
     try:

@@ -36,7 +36,7 @@ from .diagnostics import (
     front_radius,
     lp_norm,
 )
-from .grid import make_grid
+from .grid import make_grid, serial_transforms
 from .icfactory import realize
 from .reference import classify, cstar_lower_bound_formula
 from .scenario import Scenario, ScenarioError, front_level_of, timing, with_value
@@ -462,17 +462,18 @@ def run_many(scenarios, workers: int, fn=run):
     fn(scenario) or raises what fn raised.
 
     Where _pool_size() is not 0, the calls read a pool of that many
-    workers forked for the block, the longest runs (steps x n^dim)
-    submitted first; the block's exit cancels what has not started and
-    waits for the rest.  Otherwise each call runs fn in process when it
-    is made.
+    workers forked for the block, which split no transform as they fill
+    the CPUs, the longest runs (steps x n^dim) submitted first; the
+    block's exit cancels what has not started and waits for the rest.
+    Otherwise each call runs fn in process when it is made.
     """
     size = _pool_size(len(scenarios), workers)
     if not size:
         yield [partial(fn, sc) for sc in scenarios]
         return
     costs = [round(sc.control.t_end / sc.control.dt) * sc.grid.n**sc.grid.dim for sc in scenarios]
-    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
+                               initializer=serial_transforms)
     try:
         order = sorted(range(len(scenarios)), key=costs.__getitem__, reverse=True)
         futures = {i: pool.submit(fn, scenarios[i]) for i in order}

@@ -79,6 +79,9 @@ class DiagnosticsConfig:
             raise ValueError(f"front_level must be positive when set, got {self.front_level}")
         if self.snapshot_every < 0:
             raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        for key in ("equilibrium_radius", "cstar_inner_factor"):  # the first may be None
+            if getattr(self, key) is not None and not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

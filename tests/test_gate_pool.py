@@ -31,7 +31,7 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture
 def pool_path(monkeypatch):
-    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(acceptance, "usable_cpus", lambda: 2)
     monkeypatch.setattr(acceptance, "_REPORTS", {})
 
 
@@ -132,7 +132,7 @@ def test_a_raising_run_surfaces_in_its_first_reader(monkeypatch, capsys, cpus):
             raise HarnessError("envelope_1d: forced failure")
         return harness.run(scenario)
 
-    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(acceptance, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(acceptance, "_REPORTS", {})
     monkeypatch.setattr(acceptance, "run", _raising_run)
     rc = main(["verify-all", "--only", "fisher_speed", "envelope_run", "stability_run"])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kslogistic import harness
+from kslogistic import grid, harness
 from kslogistic.cli import main
 from kslogistic.harness import (
     CSV_COLUMNS,
@@ -38,6 +38,7 @@ from kslogistic.scenario import (
 from kslogistic.stepper import StepControl
 
 THREED_SMOKE = Path(__file__).parent / "data" / "threed_smoke.yaml"
+SPLIT_SMOKE = Path(__file__).parent / "data" / "split_smoke.yaml"
 
 TINY = {
     "schema_version": 1,
@@ -185,6 +186,12 @@ class TestSchema:
             warnings.simplefilter("error")
             with pytest.raises(ScenarioError, match=r"grid: half_width must be positive, got 1e\+308"):
                 load_scenario(path)
+
+    @pytest.mark.parametrize("key", ["equilibrium_radius", "cstar_inner_factor"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_far_field_settings_must_be_finite_and_positive(self, key, bad):
+        with pytest.raises(ScenarioError, match=rf"^scenario\.diagnostics: {key} must be finite and positive"):
+            tiny(diagnostics={"sample_interval": 0.1, key: bad})
 
     def test_zero_growth_needs_explicit_front_level(self):
         with pytest.raises(ScenarioError, match="front_level"):
@@ -455,6 +462,22 @@ class TestOutputs:
             assert table.shape == (n**dim, dim + 2)
             assert np.array_equal(table[:, dim], np.ravel(snap["u"]))
             assert np.array_equal(table[:, dim + 1], np.ravel(snap["v"]))
+
+    def test_split_and_serial_transforms_write_the_same_bytes(self, tmp_path, monkeypatch):
+        """A 128^2 run splits its batched transforms across the helper
+        thread where two CPUs are usable; with one it splits nothing."""
+        sc = load_scenario(SPLIT_SMOKE)
+        trees = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(grid, "usable_cpus", lambda cpus=cpus: cpus)
+            rep, paths = run_experiment(sc, outdir=tmp_path / str(cpus))
+            assert rep.ok
+            tree = {p.relative_to(paths["dir"]): p.read_bytes()
+                    for p in paths["dir"].rglob("*") if p.is_file()}
+            report = tree[Path("report.json")].splitlines(keepends=True)
+            tree[Path("report.json")] = b"".join(line for line in report if b'"wall_time"' not in line)
+            trees.append(tree)
+        assert len(trees[0]) == 15 and trees[0] == trees[1]
 
     def test_three_dimensional_run_writes_every_point(self, tmp_path):
         sc = load_scenario(THREED_SMOKE)
