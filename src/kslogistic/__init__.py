@@ -20,10 +20,8 @@ from .grid import (
     Field,
     Grid,
     NonFiniteFieldError,
-    SpectralField,
     divergence,
     gradient,
-    laplacian,
     make_grid,
     to_spectral,
 )

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .checks import CHECKS, RunRecord
+from .checks import CHECKS
 from .diagnostics import cstar_functional, equilibrium_distance, estimate_speed
 from .grid import Field, make_grid, usable_cpus
-from .harness import _pool_size, run, run_many
+from .harness import Report, _pool_size, run, run_many
 from .helmholtz import grad_potential, solve
 from .icfactory import band_limited_noise
 from .params import Params
@@ -193,17 +193,16 @@ def crit_sandwich_all_runs():
 def crit_envelope_run():
     budget = 60.0
     rep = bundled_report("envelope_1d")
-    sc = rep.scenario
+    sc, p = rep.scenario, rep.params
     setup_ok = (
-        sc["params"] == {"chi": 0.5, "a": 1.0, "b": 1.0}
-        and sc["grid"]["n"] == 1024
-        and sc["ic"]["amplitude"] == 3.0
-        and sc["control"]["t_end"] == 30.0
+        (p.chi, p.a, p.b) == (0.5, 1.0, 1.0)
+        and sc.grid.n == 1024
+        and sc.ic.amplitude == 3.0
+        and sc.control.t_end == 30.0
     )
     v = _verdict(rep, "envelope")
     final_sup = rep.series["linf"][-1]
     # recheck the bound with an absolute budget, straight from the series
-    p = Params(**sc["params"], dim=sc["grid"]["dim"])
     sup0 = rep.series["linf"][0]
     deficit = max(
         s - upper_envelope(t, sup0, p) for t, s in zip(rep.times, rep.series["linf"])
@@ -389,11 +388,11 @@ def crit_mutation_sanity():
     t, pd = np.linspace(0.0, 2.0, 21), doomed.params
 
     def unit_passes(name, series=None, states=()):
-        rec = RunRecord(doomed, classify(pd), dict(series or {}), list(t))
+        rep = Report(doomed, classify(pd), dict(series or {}), list(t))
         unit = CHECKS[name](dict(CHECKS[name].schema))
         for s, (us, vs) in zip(t, states):
-            unit.observe(s, us, vs, rec)
-        return unit.verdict(rec).passed
+            unit.observe(s, us, vs, rep)
+        return unit.verdict(rep).passed
 
     # v pushed above max u at one sample of three must break the sandwich
     v_bad = Field(g, v.values + 0.5)

@@ -4,9 +4,9 @@ A unit is a class with a parameter schema (parameter -> default, or
 REQUIRED), an optional ``observe(t, u, v, run)`` that the harness calls
 once per sample, and a ``verdict(run)``.  The harness makes one
 instance per configured check and run, so a check's state lives exactly
-as long as the run it watches.  ``run`` is the run's ``RunRecord``: the
-base series, the far-field scan, the speed fit, the events and the
-abort.
+as long as the run it watches.  ``run`` is the run's ``harness.Report``,
+filled as the run goes: the base series, the last far-field scan, the
+events, the abort and, after the last sample, the speed fit.
 
 A verdict is a ``diagnostics.CheckVerdict``, the type the rules there
 return too.  It carries two flags: passed is the measurement outcome,
@@ -17,7 +17,7 @@ a failed unasserted check is information, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -30,51 +30,33 @@ from .diagnostics import (
     lp_norm,
     sandwich_check,
 )
-from .reference import RegimeReport, upper_envelope
+from .reference import upper_envelope
 
 if TYPE_CHECKING:
-    from .scenario import Scenario
+    from .harness import Report
 
-__all__ = ["CHECKS", "REQUIRED", "Check", "CheckVerdict", "RunRecord"]
+__all__ = ["CHECKS", "REQUIRED", "Check"]
 
 #: schema marker for a parameter without a default
 REQUIRED = object()
 
 
-@dataclass
-class RunRecord:
-    """What a run has measured so far.  series maps a column name to
-    one value per sample; scan is (t, CstarScan) of the last usable
-    far-field scan; speed and speed_error are filled after the run."""
-
-    scenario: Scenario
-    regime: RegimeReport
-    series: dict
-    times: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    scan: Optional[tuple] = None
-    speed: Optional[dict] = None
-    speed_error: Optional[str] = None
-    abort: Optional[dict] = None
-
-    @property
-    def params(self):
-        return self.scenario.params
-
-
 class Check:
-    """Base unit: subclasses set name and schema and define verdict."""
+    """Base unit: subclasses set name and schema and define verdict;
+    limits maps a parameter to (test, what the value must be), which
+    the loader applies."""
 
     name = ""
     schema: dict = {}
+    limits: dict = {}
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
 
-    def observe(self, t: float, u, v, run: RunRecord) -> None:
+    def observe(self, t: float, u, v, run: Report) -> None:
         """Called once per sample, after the base series are recorded."""
 
-    def verdict(self, run: RunRecord) -> CheckVerdict:
+    def verdict(self, run: Report) -> CheckVerdict:
         raise NotImplementedError
 
 
@@ -87,7 +69,7 @@ class _WorstSample(Check):
         if self.worst is None or res.margin < self.worst.margin:
             self.worst = replace(res, detail=f"worst t={t:.6g}: {res.detail}")
 
-    def verdict(self, run: RunRecord) -> CheckVerdict:
+    def verdict(self, run: Report) -> CheckVerdict:
         return self.worst
 
 
@@ -120,6 +102,8 @@ class MassGrowth(Check):
 
     name = "mass_growth"
     schema = {"r": 1.0, "tol": 1e-6}
+    limits = {"r": (lambda r: r >= 1.0, "at least 1"),
+              "tol": (lambda tol: 0.0 <= tol < math.inf, "finite and >= 0")}
     _BASE = {1.0: "mass", 2.0: "l2", math.inf: "linf"}
 
     def __init__(self, cfg):
@@ -234,7 +218,7 @@ class CstarPositive(Check):
     def verdict(self, run):
         spreading = run.regime.spreading
         if run.scan is None:
-            why = "a = 0" if run.scenario.params.a == 0.0 else "front empty or beyond guard"
+            why = "a = 0" if run.params.a == 0.0 else "front empty or beyond guard"
             return CheckVerdict(
                 self.name, False, spreading, math.nan, f"no usable far-field scan ({why})",
             )

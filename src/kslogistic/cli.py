@@ -40,7 +40,7 @@ def _resolve_scenario(token: str):
 
 
 def _print_report(report, paths) -> None:
-    print(f"scenario {report.scenario['name']}: {len(report.times)} samples, "
+    print(f"scenario {report.scenario.name}: {len(report.times)} samples, "
           f"{report.wall_time:.2f} s")
     if report.abort is not None:
         print(f"  ABORT {report.abort['kind']} at t={report.abort['t']:.6g}: "

@@ -17,8 +17,8 @@ Conventions used by every module in this package:
   partner, so a first derivative would break Hermitian symmetry).
 * Dealiasing uses the 2/3 rule: modes with max_axis |j| > n//3 are
   dropped before and after quadratic products.
-* ``to_spectral`` exports the full complex spectrum (``SpectralField``)
-  for inspection only; nothing here consumes that layout.
+* ``to_spectral`` exports the full complex spectrum for inspection
+  only; nothing here consumes that layout.
 * A batch of two or more fields of at least 128^2 points each may be
   split across a helper thread (``_split``).  pocketfft transforms each
   row alone with the same plan, so the bits equal those of one call.
@@ -40,13 +40,11 @@ __all__ = [
     "check_dim",
     "Grid",
     "Field",
-    "SpectralField",
     "NonFiniteFieldError",
     "make_grid",
     "to_spectral",
     "gradient",
     "divergence",
-    "laplacian",
     "require_finite",
 ]
 
@@ -266,23 +264,6 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier coefficients in the full FFT layout, as exported by
-    ``to_spectral`` for inspection."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coef = np.asarray(self.coefficients, dtype=np.complex128)
-        if coef.shape != self.grid.shape:
-            raise ValueError(
-                f"coefficients shape {coef.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "coefficients", coef)
-
-
 def make_grid(dim: int, n: int, half_width: float) -> Grid:
     """Build a periodic grid on [-half_width, half_width)^dim."""
     return Grid(dim=dim, n=n, half_width=half_width)
@@ -294,11 +275,11 @@ def require_finite(f: Field, context: str = "field") -> None:
         raise NonFiniteFieldError(f"{context} has {bad} non-finite entries")
 
 
-def to_spectral(f: Field) -> SpectralField:
-    """The full complex spectrum of f, for inspection; the k = 0
-    coefficient equals the field mean."""
+def to_spectral(f: Field) -> np.ndarray:
+    """The full complex spectrum of f in FFT order, for inspection; the
+    k = 0 coefficient equals the field mean."""
     require_finite(f)
-    return SpectralField(f.grid, np.fft.fftn(f.values, norm="forward"))
+    return np.fft.fftn(f.values, norm="forward")
 
 
 def gradient(f: Field) -> tuple[Field, ...]:
@@ -326,8 +307,3 @@ def divergence_hat(w: Sequence[Field]) -> tuple[Grid, np.ndarray]:
     wh = g.rfft(np.stack([comp.values for comp in w]))
     return g, np.sum(g.half.ik * wh, axis=0)
 
-
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian (multiplier -|k|^2, Nyquist retained)."""
-    g = f.grid
-    return Field(g, g.apply(f.values, -g.half.k2))

@@ -1,13 +1,15 @@
 """Run orchestration: time loop, measurements, verdicts, file outputs.
 
-A run turns one Scenario into one Report.  The report carries the
-normalized scenario echo, the parameter-regime classification, fixed
-time series (mass, l2, linf, front radius and validity, distance from
-the uniform state, minimum of u, far-field speed floor), events, check
-verdicts, and an optional front-speed fit.  Reports are deterministic:
-two runs of the same scenario agree bit for bit except for wall_time.
-The checks themselves live in ``checks``; a run is ok when it completed
-without abort and every asserted check passed.
+A run turns one Scenario into one Report, the one record of that run:
+``run`` creates it before the first sample, the check units observe it
+and take their verdicts from it, and ``run`` returns that same object.
+The report carries the scenario, the parameter-regime classification,
+fixed time series (mass, l2, linf, front radius and validity, distance
+from the uniform state, minimum of u, far-field speed floor), events,
+check verdicts, and an optional front-speed fit.  Reports are
+deterministic: two runs of the same scenario agree bit for bit except
+for wall_time.  The checks themselves live in ``checks``; a run is ok
+when it completed without abort and every asserted check passed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .checks import CHECKS, CheckVerdict, RunRecord
+from .checks import CHECKS
 from .diagnostics import (
     cstar_functional,
     equilibrium_distance,
@@ -36,15 +38,14 @@ from .diagnostics import (
     front_radius,
     lp_norm,
 )
-from .grid import make_grid, serial_transforms
+from .grid import serial_transforms
 from .icfactory import realize
-from .reference import classify, cstar_lower_bound_formula
+from .reference import RegimeReport, classify, cstar_lower_bound_formula
 from .scenario import Scenario, ScenarioError, front_level_of, timing, with_value
 from .stepper import StepperError, initial_state, stability_warnings, step
 
 __all__ = [
     "HarnessError",
-    "CheckVerdict",
     "Report",
     "run",
     "run_experiment",
@@ -91,20 +92,34 @@ class HarnessError(RuntimeError):
 
 @dataclass
 class Report:
-    scenario: dict
-    regime: dict
-    cstar_floor: Optional[float]
-    times: list
+    """What a run has measured.  series maps a column name to one value
+    per sample.  scan, (t, CstarScan) of the last usable far-field scan,
+    and speed_error, why there is no speed fit, are for the checks and
+    are not written out."""
+
+    scenario: Scenario
+    regime: RegimeReport
     series: dict
-    checks: list
-    events: list
-    speed: Optional[dict]
-    abort: Optional[dict]
+    times: list = field(default_factory=list)
+    checks: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+    speed: Optional[dict] = None
+    abort: Optional[dict] = None
     # each {"t": float, "u": array, "v": array}, the arrays read-only
     snapshots: list = field(default_factory=list)
     wall_time: float = 0.0
     version: str = __version__
+    scan: Optional[tuple] = None
+    speed_error: Optional[str] = None
     _snapshot_reprs: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def params(self):
+        return self.scenario.params
+
+    @property
+    def cstar_floor(self) -> Optional[float]:
+        return cstar_lower_bound_formula(self.params)
 
     @property
     def ok(self) -> bool:
@@ -115,8 +130,8 @@ class Report:
     def to_dict(self, include_wall_time: bool = True) -> dict:
         out = {
             "version": self.version,
-            "scenario": self.scenario,
-            "regime": self.regime,
+            "scenario": self.scenario.to_dict(),
+            "regime": self.regime.to_dict(),
             "cstar_floor": self.cstar_floor,
             "ok": self.ok,
             "abort": self.abort,
@@ -187,14 +202,6 @@ def _json_array(strs: list, shape: tuple, depth: int) -> str:
     return _json_items(rows, depth)
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    """Read-only snapshot values; the t = 0 state may share realize's arrays."""
-    if values.flags.writeable:
-        values = values.copy()
-        values.flags.writeable = False
-    return values
-
-
 def run(scenario: Scenario) -> Report:
     """Integrate one scenario and measure everything it asked for."""
     t0_wall = time.perf_counter()
@@ -204,10 +211,9 @@ def run(scenario: Scenario) -> Report:
     u0 = realize(scenario.ic, g, guard=diag.guard)
     control = scenario.control.resolved(u0, p)
     state = initial_state(u0)
-    rec = RunRecord(scenario, classify(p), series={name: [] for name in CSV_COLUMNS[1:]})
+    rep = Report(scenario, classify(p), series={name: [] for name in CSV_COLUMNS[1:]})
     checks = [unit(scenario.checks[name]) for name, unit in CHECKS.items() if name in scenario.checks]
-    cols = rec.series
-    snapshots: list = []
+    cols = rep.series
     warned: set = set()
     front_was_valid = front_left_guard = False
     guard_limit = (1.0 - diag.guard) * g.half_width
@@ -217,12 +223,12 @@ def run(scenario: Scenario) -> Report:
             try:
                 state = step(state, p, control, steps=per)
             except StepperError as e:
-                rec.abort = {"kind": type(e).__name__, "t": e.t, "value": e.value, "message": str(e)}
-                rec.events.append({"t": e.t, "kind": "abort", "message": str(e)})
+                rep.abort = {"kind": type(e).__name__, "t": e.t, "value": e.value, "message": str(e)}
+                rep.events.append({"t": e.t, "kind": "abort", "message": str(e)})
                 break
         t = i * diag.sample_interval
         u, v = state.u, state.v
-        rec.times.append(t)
+        rep.times.append(t)
         cols["mass"].append(lp_norm(u, 1))
         cols["l2"].append(lp_norm(u, 2))
         cols["linf"].append(lp_norm(u, math.inf))
@@ -236,7 +242,7 @@ def run(scenario: Scenario) -> Report:
         elif front_was_valid and not front_left_guard:
             # only a front that once fit in the box can outgrow it
             front_left_guard = True
-            rec.events.append(
+            rep.events.append(
                 {
                     "t": t,
                     "kind": "front_beyond_guard",
@@ -259,44 +265,34 @@ def run(scenario: Scenario) -> Report:
             except ValueError:
                 scan = None
             if scan is not None:
-                rec.scan = (t, scan)
+                rep.scan = (t, scan)
                 if math.isfinite(scan.speed_min):
                     cstar_val = scan.speed_min
         cols["cstar_min"].append(cstar_val)
 
         for check in checks:
-            check.observe(t, u, v, rec)
+            check.observe(t, u, v, rep)
         for kind, msg in stability_warnings(state, p, control):
             if kind not in warned:
                 warned.add(kind)
-                rec.events.append({"t": t, "kind": f"dt_advisory_{kind}", "message": msg})
+                rep.events.append({"t": t, "kind": f"dt_advisory_{kind}", "message": msg})
         if diag.snapshot_every and i % diag.snapshot_every == 0:
-            snapshots.append({"t": t, "u": _frozen(u.values), "v": _frozen(v.values)})
+            rep.snapshots.append({"t": t, "u": u.values, "v": v.values})
 
     try:
-        est = estimate_speed(rec.times, cols["front_radius"], cols["front_valid"])
-        rec.speed = {
+        est = estimate_speed(rep.times, cols["front_radius"], cols["front_valid"])
+        rep.speed = {
             "speed": est.speed,
             "stderr": est.stderr,
             "window": [est.window[0], est.window[1]],
             "n_samples": est.n_samples,
         }
     except ValueError as e:
-        rec.speed_error = str(e)
+        rep.speed_error = str(e)
 
-    return Report(
-        scenario=scenario.to_dict(),
-        regime=rec.regime.to_dict(),
-        cstar_floor=cstar_lower_bound_formula(p),
-        times=rec.times,
-        series={k: list(v) for k, v in cols.items()},
-        checks=[check.verdict(rec) for check in checks],
-        events=rec.events,
-        speed=rec.speed,
-        abort=rec.abort,
-        snapshots=snapshots,
-        wall_time=time.perf_counter() - t0_wall,
-    )
+    rep.checks = [check.verdict(rep) for check in checks]
+    rep.wall_time = time.perf_counter() - t0_wall
+    return rep
 
 
 def output_root(outdir=None) -> Path:
@@ -352,9 +348,8 @@ def emit_plot_data(report: Report, plots_dir, force: bool = False) -> dict:
             f"{manifest_path} exists; pass force=True to overwrite"
         )
     plots_dir.mkdir(parents=True, exist_ok=True)
-    sc = report.scenario
-    dim = sc["grid"]["dim"]
-    g = make_grid(dim, sc["grid"]["n"], sc["grid"]["half_width"])
+    g = report.scenario.grid
+    dim = g.dim
 
     series_files = {}
     for label, values in report.series.items():
@@ -379,7 +374,7 @@ def emit_plot_data(report: Report, plots_dir, force: bool = False) -> dict:
         snapshot_files.append({"t": snap["t"], "file": fname})
 
     manifest = {
-        "scenario": sc["name"],
+        "scenario": report.scenario.name,
         "dim": dim,
         "series_files": series_files,
         "snapshot_files": snapshot_files,

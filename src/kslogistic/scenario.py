@@ -75,11 +75,10 @@ class DiagnosticsConfig:
             raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
         if not 0.0 < self.guard < 0.5:
             raise ValueError(f"guard must lie in (0, 1/2), got {self.guard}")
-        if self.front_level is not None and not self.front_level > 0:
-            raise ValueError(f"front_level must be positive when set, got {self.front_level}")
         if self.snapshot_every < 0:
             raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
-        for key in ("equilibrium_radius", "cstar_inner_factor"):  # the first may be None
+        # front_level and equilibrium_radius may be None
+        for key in ("front_level", "equilibrium_radius", "cstar_inner_factor"):
             if getattr(self, key) is not None and not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
 
@@ -267,8 +266,8 @@ def load_scenario(path) -> Scenario:
 
 
 def normalize_checks(checks) -> dict:
-    """Validate a checks mapping against the schemas in ``CHECKS`` and
-    fill omitted parameters with their defaults."""
+    """Validate a checks mapping against the schemas and limits in
+    ``CHECKS`` and fill omitted parameters with their defaults."""
     checks = _expect_mapping(checks, "checks")
     out = {}
     for name, cfg in checks.items():
@@ -285,6 +284,9 @@ def normalize_checks(checks) -> dict:
             else d
             for k, d in schema.items()
         }
+        for k, (holds, what) in CHECKS[name].limits.items():
+            if not holds(out[name][k]):
+                raise ScenarioError(f"{where}.{k} must be {what}, got {out[name][k]!r}")
     return out
 
 

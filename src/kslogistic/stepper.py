@@ -14,9 +14,11 @@ logistic flow and the scheme is exact on the linear problem.  Quadratic
 products are formed in physical space from 2/3-rule truncated factors
 and truncated again afterwards.
 
-A step's last inverse transform also makes the factors of the next
-step's first F(u), which the state carries.  A later step makes 4
-transform calls, a step from a fresh state 6.
+Every state carries the half-spectrum of its u from t = 0 on:
+``initial_state`` makes the forward transform of u0.  A step's last
+inverse transform also makes the factors of the next step's first F(u),
+which the state carries.  A later step makes 4 transform calls, the
+first step from ``initial_state`` 5.
 
 Runs abort (they never clamp) when a step goes non-finite, dips below
 the negativity budget, or crosses the blow-up threshold.
@@ -31,7 +33,6 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, Grid, NonFiniteFieldError
-from .helmholtz import solve
 from .params import Params
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "NegativityError",
     "BlowupError",
     "initial_state",
-    "nonlinearity",
     "step",
     "stability_warnings",
 ]
@@ -102,22 +102,23 @@ class StepControl:
 
 
 class State:
-    """Solution snapshot.  v is always exactly the resolvent of u; when
-    not given, it is formed on first read.  ``step`` also leaves what the
-    next step starts from: uh, the half-spectrum of u, and _factors, a
-    pair (synth, values) of the next F(u)'s factors, used only by a plan
-    with that very synth.  Its arrays are read-only, so they stay in step
-    with u, and u owns its memory, so a kept u pins no factors."""
+    """Solution snapshot: u, its half-spectrum uh (made from u when not
+    given), and v, the resolvent of u, formed from uh on first read.
+    ``step`` also leaves _factors, a pair (synth, values) of the next
+    F(u)'s factors, used only by a plan with that very synth.  Its
+    arrays are read-only, so they stay in step with u, and u owns its
+    memory, so a kept u pins no factors."""
 
-    def __init__(self, t: float, u: Field, v: Field | None = None, step_count: int = 0, uh=None):
-        self.t, self.u, self.step_count, self._v, self._uh = t, u, step_count, v, uh
-        self._factors = None
+    def __init__(self, t: float, u: Field, step_count: int = 0, uh=None):
+        if uh is None:
+            uh = u.grid.rfft(u.values)
+            uh.flags.writeable = False
+        self.t, self.u, self.step_count, self._uh = t, u, step_count, uh
+        self._v = self._factors = None
 
     @property
     def v(self) -> Field:
-        if self._v is None and self._uh is None:
-            self._v = solve(self.u)
-        elif self._v is None:
+        if self._v is None:
             g = self.u.grid
             vals = g.irfft(self._uh * g.half.resolvent)
             vals.flags.writeable = False
@@ -126,7 +127,10 @@ class State:
 
 
 def initial_state(u0: Field) -> State:
-    return State(t=0.0, u=u0)
+    """The state at t = 0, on a read-only copy of u0's values."""
+    vals = u0.values.copy()
+    vals.flags.writeable = False
+    return State(t=0.0, u=Field(u0.grid, vals))
 
 
 @lru_cache(maxsize=8)
@@ -190,18 +194,6 @@ def _rhs(g: Grid, uh: np.ndarray, phys: np.ndarray, weights: np.ndarray, a1: flo
     return out
 
 
-def nonlinearity(u: Field, p: Params, dealias: bool = True) -> Field:
-    """F(u) as a physical field, v solved internally."""
-    g = u.grid
-    # dt = 0: F reads only the product stacks of the plan
-    _, _, _, synth, weights = _plan(g, 0.0, p.b, p.chi, dealias)
-    uh = g.rfft(u.values)
-    phys = g.irfft(synth * uh)
-    fh = _rhs(g, uh, phys, weights, p.a + 1.0, np.empty_like(uh), np.empty_like(phys),
-              np.empty(synth.shape, uh.dtype))
-    return Field(g, g.irfft(fh))
-
-
 def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State:
     """Advance by steps times dt.  Budgets must already be resolved (not None).
 
@@ -221,7 +213,7 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if control.negativity_budget is None or control.blowup_threshold is None:
-        control = control.resolved(state.u, p)
+        raise ValueError("step needs resolved budgets: pass control.resolved(u0, params)")
     E, P, half_P, synth, weights = _plan(g, control.dt, p.b, p.chi, control.dealias)
     a1 = p.a + 1.0
     neg, blow = control.negativity_budget, control.blowup_threshold
@@ -233,8 +225,7 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     prod, prodh = np.empty_like(fields[1:]), np.empty_like(rows[1:])
     fn, Eu, pred, fp = (np.empty_like(E) for _ in range(4))
     # the input state's arrays are read, never written
-    uh = state._uh if state._uh is not None else g.rfft(state.u.values, out=rows[0])
-    made_by, phys = state._factors or (None, None)
+    uh, (made_by, phys) = state._uh, state._factors or (None, None)
     if made_by is not synth:
         phys = g.irfft(np.multiply(synth, uh, out=rows[1:]), out=fields[1:])
 

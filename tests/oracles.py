@@ -7,7 +7,8 @@ the semi-discrete system, and the stepper and noise builder are also
 kept in their original full complex-FFT form, on the dense multipliers
 of ``full_multipliers``.  The report writers are kept in their original
 form too: a pure ``json.dumps`` of the report dict, and snapshot tables
-formatted value by value with f-strings.
+formatted value by value with f-strings.  ``nonlinearity`` is the one
+exception: it exposes the stepper's own F(u) to the tests.
 """
 
 import json
@@ -19,7 +20,8 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad
 
-from kslogistic.grid import Field, make_grid
+from kslogistic.grid import Field
+from kslogistic.stepper import _plan, _rhs
 
 TAIL = 45.0  # exp(-45) ~ 3e-20, far below every tolerance used
 
@@ -201,6 +203,27 @@ def full_fft_rhs_hat(uh, grid, p, dealias):
     return out - p.b * sqh
 
 
+def nonlinearity(u, p, dealias=True):
+    """The stepper's own F(u) as a physical field, v solved internally:
+    not an independent route, but the package's plan and products, for
+    tests that check them against composed operators."""
+    g = u.grid
+    # dt = 0: F reads only the product stacks of the plan
+    _, _, _, synth, weights = _plan(g, 0.0, p.b, p.chi, dealias)
+    uh = g.rfft(u.values)
+    phys = g.irfft(synth * uh)
+    fh = _rhs(g, uh, phys, weights, p.a + 1.0, np.empty_like(uh), np.empty_like(phys),
+              np.empty(synth.shape, uh.dtype))
+    return Field(g, g.irfft(fh))
+
+
+def laplacian(f):
+    """Spectral Laplacian (multiplier -|k|^2, Nyquist retained) on the
+    full complex spectrum."""
+    c = sfft.fftn(f.values, norm="forward")
+    return Field(f.grid, sfft.ifftn(-full_multipliers(f.grid).k2 * c, norm="forward").real)
+
+
 def full_fft_step(u, grid, p, dt, dealias=True):
     """One exponential-Heun step on the full complex spectrum, without
     the abort checks; returns the new u values."""
@@ -249,9 +272,8 @@ def report_json(report, include_wall_time=True):
 def snapshot_tables(report):
     """{file name: text} of the plots/snapshot_*.dat tables, each value
     formatted on its own by an f-string."""
-    sc = report.scenario
-    dim = sc["grid"]["dim"]
-    g = make_grid(dim, sc["grid"]["n"], sc["grid"]["half_width"])
+    g = report.scenario.grid
+    dim = g.dim
     tables = {}
     for k, snap in enumerate(report.snapshots):
         fname = f"snapshot_{k:04d}.dat"

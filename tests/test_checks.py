@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from kslogistic.checks import CHECKS, RunRecord
+from kslogistic.checks import CHECKS
 from kslogistic.diagnostics import boundary_guard, lp_norm, sandwich_check
 from kslogistic.grid import Field, make_grid
+from kslogistic.harness import Report
 from kslogistic.helmholtz import solve
 from kslogistic.reference import classify
 from kslogistic.scenario import scenario_from_dict
@@ -37,7 +38,7 @@ def test_readme_check_table_matches_checks():
 
 def feed(name, states, cfg=None, **params):
     """Unit `name`, fed the samples (t, u, v) as a run feeds it: its
-    verdict and the run record it wrote to."""
+    verdict and the report it wrote to."""
     sc = scenario_from_dict({
         "schema_version": 1,
         "name": "units",
@@ -49,7 +50,7 @@ def feed(name, states, cfg=None, **params):
         "checks": {name: cfg or {}},
     })
     unit = CHECKS[name](sc.checks[name])
-    rec = RunRecord(sc, classify(sc.params), series={})
+    rec = Report(sc, classify(sc.params), series={})
     for t, u, v in states:
         rec.times.append(t)
         unit.observe(t, u, v, rec)

@@ -25,6 +25,7 @@ from kslogistic.harness import (
     sweep,
     write_sweep_csv,
 )
+from kslogistic.helmholtz import solve
 from kslogistic.params import Params
 from kslogistic.scenario import (
     Scenario,
@@ -187,11 +188,25 @@ class TestSchema:
             with pytest.raises(ScenarioError, match=r"grid: half_width must be positive, got 1e\+308"):
                 load_scenario(path)
 
-    @pytest.mark.parametrize("key", ["equilibrium_radius", "cstar_inner_factor"])
+    # front_level sets the front radius that anchors the far-field scan;
+    # no point reaches an infinite level, so the radius would read 0.0,
+    # valid, at every sample
+    @pytest.mark.parametrize("key", ["equilibrium_radius", "cstar_inner_factor", "front_level"])
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
     def test_far_field_settings_must_be_finite_and_positive(self, key, bad):
         with pytest.raises(ScenarioError, match=rf"^scenario\.diagnostics: {key} must be finite and positive"):
             tiny(diagnostics={"sample_interval": 0.1, key: bad})
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [({"r": 0.5}, "r"), ({"r": math.nan}, "r"), ({"tol": -1.0}, "tol"), ({"tol": math.inf}, "tol")],
+    )
+    def test_mass_growth_parameters_checked_at_load(self, cfg, key):
+        # at r < 1 the first sample's lp_norm raises, at tol < 0 the
+        # verdict: both after the run has started
+        with pytest.raises(ScenarioError, match=rf"^scenario: checks\.mass_growth\.{key} must be"):
+            tiny(checks={"mass_growth": cfg})
+        assert tiny(checks={"mass_growth": {"r": math.inf, "tol": 0.0}}).checks["mass_growth"]["r"] == math.inf
 
     def test_zero_growth_needs_explicit_front_level(self):
         with pytest.raises(ScenarioError, match="front_level"):
@@ -315,10 +330,59 @@ class TestRun:
         # non-finite floats must have been mapped to null
         assert "Infinity" not in run(tiny()).to_json()
 
+    def test_run_returns_the_report_its_checks_read(self, monkeypatch):
+        from kslogistic.checks import Sandwich
+
+        seen = []
+        observe, verdict = Sandwich.observe, Sandwich.verdict
+
+        def observe_spy(self, t, u, v, rep):
+            seen.append(rep)
+            observe(self, t, u, v, rep)
+
+        def verdict_spy(self, rep):
+            seen.append(rep)
+            return verdict(self, rep)
+
+        monkeypatch.setattr(Sandwich, "observe", observe_spy)
+        monkeypatch.setattr(Sandwich, "verdict", verdict_spy)
+        rep = run(tiny())
+        assert len(seen) == 7 and all(r is rep for r in seen)
+
+    def test_scan_and_speed_error_are_not_written_out(self):
+        # tiny's front fits in the box, so it is scanned; 6 samples are
+        # too few for a speed fit
+        rep = run(tiny(checks={"cstar_positive": {}}))
+        assert rep.scan is not None and rep.speed is None and rep.speed_error
+        text = rep.to_json()
+        assert '"scan"' not in text and '"speed_error"' not in text
+        assert set(json.loads(text)) == {
+            "version", "scenario", "regime", "cstar_floor", "ok", "abort", "speed",
+            "checks", "events", "times", "series", "snapshots", "wall_time",
+        }
+
+    def test_writing_the_ic_array_after_initial_state_changes_nothing(self, monkeypatch):
+        # the t = 0 state holds its own copy of u0, so neither it nor the
+        # t = 0 snapshot sees a later write to realize's array
+        made, initial_state = [], harness.initial_state
+
+        def initial_state_then_write(u0):
+            state = initial_state(u0)
+            made.append((u0.values.copy(), state))
+            u0.values[:] = -1.0
+            return state
+
+        monkeypatch.setattr(harness, "initial_state", initial_state_then_write)
+        rep = run(tiny(diagnostics={"sample_interval": 0.1, "snapshot_every": 5}))
+        ((u0, state),) = made
+        assert np.array_equal(state.u.values, u0) and not state.u.values.flags.writeable
+        assert np.array_equal(rep.snapshots[0]["u"], u0)
+        assert np.array_equal(rep.snapshots[0]["v"], solve(grid.Field(state.u.grid, u0)).values)
+
     def test_regime_echo_matches_params(self):
         rep = run(tiny())
-        assert rep.regime["global_bounded"] is True
-        assert rep.regime["spreading"] is True
+        assert rep.regime.global_bounded is True
+        assert rep.regime.spreading is True
         assert rep.cstar_floor == pytest.approx(1.0832864634654802)
 
     def test_no_cstar_scan_at_a_zero(self):
@@ -359,7 +423,7 @@ class TestRun:
     def test_partial_check_config_gets_defaults(self):
         sc = tiny(checks={"mass_growth": {}})
         rep = run(sc)
-        assert rep.scenario["checks"]["mass_growth"]["tol"] == 1e-6
+        assert rep.scenario.checks["mass_growth"]["tol"] == 1e-6
         assert rep.ok
 
     def test_equilibrium_on_exact_fixed_point(self):

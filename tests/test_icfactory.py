@@ -84,7 +84,7 @@ def test_positive_random_floor_and_band():
     assert f.values.min() == pytest.approx(0.25, abs=1e-15)
     assert f.values.max() == pytest.approx(1.25, rel=1e-12)
     # no spectral content beyond the noise band (mean mode aside)
-    c = to_spectral(f).coefficients
+    c = to_spectral(f)
     j = np.rint(np.fft.fftfreq(g.n, d=1.0 / g.n))
     assert np.max(np.abs(c[np.abs(j) > 8])) < 1e-14
 

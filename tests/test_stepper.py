@@ -15,12 +15,11 @@ from kslogistic.stepper import (
     State,
     StepControl,
     initial_state,
-    nonlinearity,
     stability_warnings,
     step,
 )
 
-from oracles import full_fft_step, rk4_reaction_diffusion
+from oracles import full_fft_step, nonlinearity, rk4_reaction_diffusion
 
 
 def gaussian_ic(grid, amp=1.2, width=1.5):
@@ -132,7 +131,7 @@ def test_non_finite_input_rejected():
     vals[5] = np.inf
     p = Params(chi=0.0, a=1.0, b=1.0, dim=1)
     s0 = initial_state(Field(g, np.ones(32)))
-    bad = type(s0)(t=0.0, u=Field(g, vals), v=s0.v, step_count=0)
+    bad = type(s0)(t=0.0, u=Field(g, vals), step_count=0)
     with pytest.raises(NonFiniteFieldError):
         step(bad, p, StepControl(dt=0.01, t_end=1.0).resolved(s0.u, p))
 
@@ -284,7 +283,7 @@ def test_non_finite_directly_built_state_rejected(bad):
     vals[7] = bad
     p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
     with pytest.raises(NonFiniteFieldError):
-        step(State(t=0.0, u=Field(g, vals), v=u0, step_count=0), p, StepControl(**_TIGHT))
+        step(State(t=0.0, u=Field(g, vals), step_count=0), p, StepControl(**_TIGHT))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -368,8 +367,8 @@ def _count_transforms(monkeypatch):
 
 @pytest.mark.parametrize("dim, n, expect", [(1, 128, 9), (2, 32, 13), (3, 16, 17)])
 def test_transforms_per_step_with_chemotaxis(monkeypatch, dim, n, expect):
-    # a later step starts from the carried factors; a step from a fresh
-    # state also transforms u0 and then makes those factors (1 + dim)
+    # a later step starts from the carried factors; initial_state
+    # transforms u0, and the first step then makes those factors (1 + dim)
     g, u0 = _initial(dim, n, 8.0)
     p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
     c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
@@ -498,6 +497,28 @@ def test_steps_in_one_call_equal_single_steps(dim, n, chi, fresh):
         single = step(single, p, c)
     _same_state(step(s0, p, c, steps=7), single)
     _same_state(step(step(s0, p, c, steps=4), p, c, steps=3), single)
+
+
+def test_step_needs_resolved_budgets():
+    # a budget scaled to a mid-run state's amplitude, not u0's, would
+    # move the blow-up threshold with the run
+    g, u0 = _initial(1, 32, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    for budgets in ({}, {"negativity_budget": 1e-10}, {"blowup_threshold": 1e4}):
+        with pytest.raises(ValueError, match="resolved budgets"):
+            step(initial_state(u0), p, StepControl(dt=0.01, t_end=1.0, **budgets))
+
+
+def test_initial_state_keeps_its_own_copy_of_u0():
+    g, u0 = _initial(1, 64, 8.0)
+    vals = u0.values.copy()
+    s = initial_state(u0)
+    v0 = s.v.values.copy()
+    u0.values[:] = -1.0
+    assert np.array_equal(s.u.values, vals) and np.array_equal(s.v.values, v0)
+    assert not (s.u.values.flags.writeable or s._uh.flags.writeable or s.v.values.flags.writeable)
+    # v at t = 0 is the resolvent of u0, formed from the carried spectrum
+    assert np.max(np.abs(v0 - solve(Field(g, vals)).values)) <= 1e-15
 
 
 def test_steps_must_be_positive():
