@@ -20,8 +20,6 @@ from .grid import (
     Field,
     Grid,
     NonFiniteFieldError,
-    divergence,
-    gradient,
     make_grid,
     to_spectral,
 )

@@ -1,12 +1,13 @@
 """The acceptance gate: eleven go/no-go criteria over the whole stack.
 
-Each criterion is a function returning (passed, detail).  run_all and
-run_one time them, fold stated runtime budgets into the verdicts, and
-share one cache of bundled-scenario runs so a report is computed once
-no matter how many criteria read it.  Each criterion declares in READS
-the bundled runs it reads; run_all computes those with run_many, on a
-process pool while the criteria that read none run, and run_one
-computes a run in process when a criterion first asks for it.
+Each criterion is a function returning (passed, detail), declared once
+by @criterion with its runtime budget and the bundled runs it reads.
+run_one passes it the reports of those runs as arguments, times it and
+folds the budget into the verdict.  A report is computed once per
+process and cached, however many criteria read it: run_all computes the
+runs its criteria read with run_many, on a process pool while the
+criteria that read none run, and a run no pool computes is run in
+process when first read.
 
 The checks deliberately cross-validate along independent routes: the
 elliptic solve against closed-form eigenfunctions and against
@@ -53,22 +54,38 @@ class CriterionResult:
         return f"[{tag}] {self.name} ({self.elapsed:.2f}s): {self.detail}"
 
 
-# name -> Report, or run_all's run_many call that computes it
+# bundled scenario name -> its Report
 _REPORTS: dict = {}
 
 
-def bundled_report(name: str):
-    """Run a bundled scenario once per process and cache the report.
+def bundled_report(name: str, pending=None) -> Report:
+    """Run a bundled scenario once per process and cache the report, by
+    its run_many call if pending holds one (popped, raising what it raises)."""
+    if name not in _REPORTS:
+        call = (pending or {}).pop(name, None)
+        _REPORTS[name] = call() if call else run(load_scenario(bundled_scenario_path(name)))
+    return _REPORTS[name]
 
-    A run that run_all handed to run_many is made or waited for here, and
-    a run that raised there raises here."""
-    rep = _REPORTS.get(name)
-    if rep is None:
-        rep = run(load_scenario(bundled_scenario_path(name)))
-    elif callable(rep):
-        rep = rep()
-    _REPORTS[name] = rep
-    return rep
+
+# name -> criterion, in gate order; name -> (budget in s or None, runs read)
+CRITERIA: dict = {}
+_DECLARED: dict = {}
+ALL_RUNS = "all"
+
+
+def criterion(budget=None, reads=()):
+    """Enter the decorated crit_<name> into the gate as <name>.  It fails
+    once it costs budget seconds or more (None: no budget) and takes the
+    reports of the bundled runs in reads as arguments, in that order;
+    ALL_RUNS reads every bundled run, in name order."""
+
+    def declare(fn):
+        name = fn.__name__.removeprefix("crit_")
+        CRITERIA[name] = fn
+        _DECLARED[name] = (budget, reads)
+        return fn
+
+    return declare
 
 
 def _verdict(report, check_name: str):
@@ -98,8 +115,8 @@ def _kernel_quadrature_error() -> float:
     return worst
 
 
+@criterion(budget=5.0)
 def crit_elliptic_exactness():
-    budget = 5.0
     # route one: cosine eigenfunctions have a closed-form resolvent
     worst_eig = 0.0
     cases = (
@@ -123,11 +140,11 @@ def crit_elliptic_exactness():
         f"eigenfunction err {worst_eig:.2e} (tol 1e-12), kernel quadrature "
         f"err {worst_quad:.2e} (tol 1e-6)"
     )
-    return passed, detail, budget
+    return passed, detail
 
 
+@criterion(budget=30.0)
 def crit_operator_bounds():
-    budget = 30.0
     rng = np.random.default_rng(2024)
     times = (0.01, 0.1, 1.0, 5.0)
     slack = 1.05
@@ -165,34 +182,33 @@ def crit_operator_bounds():
         f"{worst_contraction:.6f} (<= 1), gradient ratio {worst_grad:.6f} "
         f"(<= 1), divergence ratio {worst_div:.4f} (<= {slack})"
     )
-    return passed, detail, budget
+    return passed, detail
 
 
-def crit_sandwich_all_runs():
+@criterion(reads=ALL_RUNS)
+def crit_sandwich_all_runs(*reports):
     worst = math.inf
     worst_name = ""
     passed = True
-    for name in bundled_scenario_names():
-        rep = bundled_report(name)
+    for rep in reports:
         v = _verdict(rep, "sandwich")
         if rep.abort is not None or v is None or not v.passed:
             passed = False
-            worst_name = name
+            worst_name = rep.scenario.name
             break
         if v.margin < worst:
-            worst, worst_name = v.margin, name
+            worst, worst_name = v.margin, rep.scenario.name
     detail = (
-        f"{len(bundled_scenario_names())} runs, every sample; tightest margin "
+        f"{len(reports)} runs, every sample; tightest margin "
         f"{worst:.3e} ({worst_name})"
         if passed
         else f"violated or aborted in {worst_name}"
     )
-    return passed, detail, None
+    return passed, detail
 
 
-def crit_envelope_run():
-    budget = 60.0
-    rep = bundled_report("envelope_1d")
+@criterion(budget=60.0, reads=("envelope_1d",))
+def crit_envelope_run(rep):
     sc, p = rep.scenario, rep.params
     setup_ok = (
         (p.chi, p.a, p.b) == (0.5, 1.0, 1.0)
@@ -219,19 +235,19 @@ def crit_envelope_run():
         f"sup_x u vs damped logistic envelope for t <= 30: worst excess "
         f"{deficit:.2e} (budget 1e-6); sup u(30) = {final_sup:.6f} <= 2.02"
     )
-    return passed, detail, budget, rep.wall_time
+    return passed, detail
 
 
-def crit_mass_bounds():
+@criterion(reads=ALL_RUNS)
+def crit_mass_bounds(*reports):
     passed = True
     details = []
-    for name in bundled_scenario_names():
-        rep = bundled_report(name)
+    for rep in reports:
         v = _verdict(rep, "mass_growth")
         ok = rep.abort is None and v is not None and v.passed
         passed &= ok
-        details.append(f"{name} {'ok' if ok else 'VIOLATED'}")
-    decay = bundled_report("mass_decay_1d")
+        details.append(f"{rep.scenario.name} {'ok' if ok else 'VIOLATED'}")
+    decay = next(rep for rep in reports if rep.scenario.name == "mass_decay_1d")
     mass = np.asarray(decay.series["mass"])
     rises = np.diff(mass) / mass[0]
     monotone = bool(np.all(rises <= 1e-8))
@@ -243,12 +259,11 @@ def crit_mass_bounds():
     )
     if not passed:
         detail += "; " + ", ".join(details)
-    return passed, detail, None
+    return passed, detail
 
 
-def crit_stability_run():
-    budget = 60.0
-    rep = bundled_report("stability_1d")
+@criterion(budget=60.0, reads=("stability_1d",))
+def crit_stability_run(rep):
     v = _verdict(rep, "equilibrium")
     dist = np.asarray(rep.series["dist_u_ab"]) + np.asarray(rep.series["dist_v_ab"])
     final = float(dist[-1])
@@ -266,12 +281,11 @@ def crit_stability_run():
         f"dist(u) + dist(v) = {final:.2e} at t = 40 (tol 1e-3), down from "
         f"{float(dist[i10]):.2e} at t = 10"
     )
-    return passed, detail, budget, rep.wall_time
+    return passed, detail
 
 
-def crit_fisher_speed():
-    budget = 120.0
-    rep = bundled_report("fisher_1d")
+@criterion(budget=120.0, reads=("fisher_1d",))
+def crit_fisher_speed(rep):
     v = _verdict(rep, "speed_range")
     s = rep.speed
     passed = (
@@ -290,12 +304,11 @@ def crit_fisher_speed():
             f"{s['window'][1]:g}] ({s['n_samples']} samples)"
         )
     )
-    return passed, detail, budget, rep.wall_time
+    return passed, detail
 
 
-def crit_spreading_run():
-    budget = 120.0
-    rep = bundled_report("spreading_1d")
+@criterion(budget=120.0, reads=("spreading_1d",))
+def crit_spreading_run(rep):
     s = rep.speed
     v_lim = _verdict(rep, "spreading_limits")
     v_cst = _verdict(rep, "cstar_positive")
@@ -314,11 +327,11 @@ def crit_spreading_run():
         if not passed and (s is None or v_lim is None or v_cst is None)
         else f"c = {s['speed']:.4f}; {v_lim.detail}; floor scan: {v_cst.detail}"
     )
-    return passed, detail, budget, rep.wall_time
+    return passed, detail
 
 
-def crit_l2_growth():
-    rep = bundled_report("spreading_1d")
+@criterion(reads=("spreading_1d",))
+def crit_l2_growth(rep):
     l2 = np.asarray(rep.series["l2"])
     half = len(l2) // 2
     tail = l2[half:]
@@ -329,11 +342,11 @@ def crit_l2_growth():
         f"{rep.times[-1]:g}]: {tail[0]:.4f} -> {tail[-1]:.4f} "
         f"(min step {float(diffs.min()):.2e})"
     )
-    return passed, detail, None
+    return passed, detail
 
 
+@criterion(budget=60.0)
 def crit_convergence_order():
-    budget = 60.0
     g = make_grid(1, 128, 15.0)
     u0 = Field(g, 1.2 * np.exp(-(g.axes[0] ** 2) / (2 * 1.5**2)))
     p = Params(chi=0.3, a=1.0, b=1.0, dim=1)
@@ -351,9 +364,10 @@ def crit_convergence_order():
         f"Richardson order {order:.3f} >= 1.9 (errors {e_coarse:.3e} -> "
         f"{e_fine:.3e} under dt halving)"
     )
-    return passed, detail, budget
+    return passed, detail
 
 
+@criterion()
 def crit_mutation_sanity():
     g = make_grid(1, 128, 10.0)
     x = g.axes[0]
@@ -451,41 +465,14 @@ def crit_mutation_sanity():
     detail = f"{len(caught)}/{len(caught) + len(missed)} corruptions caught"
     if missed:
         detail += f"; MISSED: {missed}"
-    return passed, detail, None
-
-
-CRITERIA = {
-    "elliptic_exactness": crit_elliptic_exactness,
-    "operator_bounds": crit_operator_bounds,
-    "sandwich_all_runs": crit_sandwich_all_runs,
-    "envelope_run": crit_envelope_run,
-    "mass_bounds": crit_mass_bounds,
-    "stability_run": crit_stability_run,
-    "fisher_speed": crit_fisher_speed,
-    "spreading_run": crit_spreading_run,
-    "l2_growth": crit_l2_growth,
-    "convergence_order": crit_convergence_order,
-    "mutation_sanity": crit_mutation_sanity,
-}
-
-
-# The bundled runs each criterion reads through bundled_report, which
-# run_all computes ahead; ALL_RUNS stands for every bundled scenario.
-ALL_RUNS = "all"
-READS = {
-    "sandwich_all_runs": ALL_RUNS,
-    "envelope_run": ("envelope_1d",),
-    "mass_bounds": ALL_RUNS,
-    "stability_run": ("stability_1d",),
-    "fisher_speed": ("fisher_1d",),
-    "spreading_run": ("spreading_1d",),
-    "l2_growth": ("spreading_1d",),
-}
+    return passed, detail
 
 
 def runs_read(name: str) -> list:
-    """The bundled runs criterion `name` declares in READS."""
-    reads = READS.get(name, ())
+    """The bundled runs criterion `name` reads, in argument order."""
+    if name not in CRITERIA:
+        raise ValueError(f"unknown criterion {name!r}; known: {sorted(CRITERIA)}")
+    reads = _DECLARED[name][1]
     return bundled_scenario_names() if reads == ALL_RUNS else list(reads)
 
 
@@ -496,16 +483,17 @@ def _pool_run(scenario):
     return run(scenario)
 
 
-def run_one(name: str) -> CriterionResult:
-    if name not in CRITERIA:
-        raise ValueError(f"unknown criterion {name!r}; known: {sorted(CRITERIA)}")
+def run_one(name: str, pending=None) -> CriterionResult:
+    """Criterion `name` on the reports of the runs it reads, each taken
+    through bundled_report with pending."""
     t0 = time.perf_counter()
-    out = CRITERIA[name]()
+    reports = [bundled_report(r, pending) for r in runs_read(name)]
+    passed, detail = CRITERIA[name](*reports)
     elapsed = time.perf_counter() - t0
-    passed, detail, budget = out[0], out[1], out[2]
-    # criteria built on a cached run are charged that run's true cost
-    cost = max(elapsed, out[3]) if len(out) > 3 else elapsed
+    budget = _DECLARED[name][0]
     if budget is not None:
+        # charged the true cost of each report read, wherever it was made
+        cost = max([elapsed] + [rep.wall_time for rep in reports])
         if cost >= budget:
             passed = False
             detail += f"; OVER BUDGET: {cost:.1f}s >= {budget:.0f}s"
@@ -517,25 +505,21 @@ def run_one(name: str) -> CriterionResult:
 def run_all(names=None, echo=None):
     echo = echo or (lambda line: None)
     picked = list(CRITERIA) if not names else list(names)
+    # runs_read refuses an unknown name here, before any run or criterion starts
     todo = [r for r in dict.fromkeys(r for name in picked for r in runs_read(name)) if r not in _REPORTS]
     workers = _pool_size(len(todo), usable_cpus())
     t0 = time.perf_counter()
     results = []
-    try:
-        with run_many([load_scenario(bundled_scenario_path(r)) for r in todo], workers, _pool_run) as calls:
-            _REPORTS.update(zip(todo, calls))
-            for name in picked:
-                results.append(run_one(name))
-                # the pool's account, once, as soon as its last run has been read
-                if workers and not any(callable(_REPORTS[r]) for r in todo):
-                    summed = sum(_REPORTS[r].wall_time for r in todo)
-                    echo(f"bundled runs: {len(todo)} on {workers} workers, "
-                         f"{time.perf_counter() - t0:.2f} s wall ({summed:.2f} s summed run time)")
-                    workers = 0
-                echo(results[-1].line)
-    finally:
-        for r in todo:  # drop the calls never made or that raised
-            if callable(_REPORTS.get(r)):
-                del _REPORTS[r]
+    with run_many([load_scenario(bundled_scenario_path(r)) for r in todo], workers, _pool_run) as calls:
+        pending = dict(zip(todo, calls))
+        for name in picked:
+            results.append(run_one(name, pending))
+            # the pool's account, once, as soon as its last run has been read
+            if workers and not pending:
+                summed = sum(_REPORTS[r].wall_time for r in todo)
+                echo(f"bundled runs: {len(todo)} on {workers} workers, "
+                     f"{time.perf_counter() - t0:.2f} s wall ({summed:.2f} s summed run time)")
+                workers = 0
+            echo(results[-1].line)
     echo(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
     return results

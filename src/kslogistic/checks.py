@@ -40,6 +40,11 @@ __all__ = ["CHECKS", "REQUIRED", "Check"]
 #: schema marker for a parameter without a default
 REQUIRED = object()
 
+# limits shared by several parameters; nan fails every comparison
+_FINITE = (math.isfinite, "finite")
+_TOL = (lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_FACTOR = (lambda x: 0.0 < x < math.inf, "finite and > 0")
+
 
 class Check:
     """Base unit: subclasses set name and schema and define verdict;
@@ -86,6 +91,7 @@ class BoundaryGuard(_WorstSample):
 
     name = "boundary_guard"
     schema = {"far_value": 0.0}
+    limits = {"far_value": _FINITE}
     breached = False
 
     def observe(self, t, u, v, run):
@@ -102,8 +108,7 @@ class MassGrowth(Check):
 
     name = "mass_growth"
     schema = {"r": 1.0, "tol": 1e-6}
-    limits = {"r": (lambda r: r >= 1.0, "at least 1"),
-              "tol": (lambda tol: 0.0 <= tol < math.inf, "finite and >= 0")}
+    limits = {"r": (lambda r: r >= 1.0, "at least 1"), "tol": _TOL}
     _BASE = {1.0: "mass", 2.0: "l2", math.inf: "linf"}
 
     def __init__(self, cfg):
@@ -125,6 +130,7 @@ class MassGrowth(Check):
 class Envelope(Check):
     name = "envelope"
     schema = {"tol": 1e-6}
+    limits = {"tol": _TOL}
 
     def verdict(self, run):
         p, tol = run.params, self.cfg["tol"]
@@ -155,6 +161,7 @@ class Envelope(Check):
 class SpeedRange(Check):
     name = "speed_range"
     schema = {"min": REQUIRED, "max": REQUIRED}
+    limits = {"min": _FINITE, "max": _FINITE}
 
     def verdict(self, run):
         lo, hi = self.cfg["min"], self.cfg["max"]
@@ -180,6 +187,8 @@ class Equilibrium(Check):
 
     name = "equilibrium"
     schema = {"tol": 1e-3, "trend_from": None}
+    limits = {"tol": _TOL,
+              "trend_from": (lambda t: t is None or 0.0 <= t < math.inf, "None, or finite and >= 0")}
 
     def verdict(self, run):
         tol, t_from = self.cfg["tol"], self.cfg["trend_from"]
@@ -254,6 +263,7 @@ class SpreadingLimits(Check):
         "inner_factor": 0.5,
         "outer_factor": 1.5,
     }
+    limits = {"inner_tol": _TOL, "outer_tol": _TOL, "inner_factor": _FACTOR, "outer_factor": _FACTOR}
 
     def __init__(self, cfg):
         super().__init__(cfg)

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-all",
                            help="run the full acceptance suite")
-    p_ver.add_argument("--only", nargs="*", default=None,
+    p_ver.add_argument("--only", nargs="+", default=None,
                        help="criterion names to run (default: all)")
     p_ver.set_defaults(func=_cmd_verify_all)
 

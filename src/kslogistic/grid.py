@@ -31,7 +31,6 @@ import queue
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +42,6 @@ __all__ = [
     "NonFiniteFieldError",
     "make_grid",
     "to_spectral",
-    "gradient",
-    "divergence",
     "require_finite",
 ]
 
@@ -280,30 +277,4 @@ def to_spectral(f: Field) -> np.ndarray:
     k = 0 coefficient equals the field mean."""
     require_finite(f)
     return np.fft.fftn(f.values, norm="forward")
-
-
-def gradient(f: Field) -> tuple[Field, ...]:
-    """Spectral gradient, one Field per axis.  Nyquist modes are dropped."""
-    g = f.grid
-    return tuple(Field(g, c) for c in g.apply(f.values, g.half.ik))
-
-
-def divergence(w: Sequence[Field]) -> Field:
-    """Spectral divergence of a vector field given as per-axis components."""
-    g, coef = divergence_hat(w)
-    return Field(g, g.irfft(coef))
-
-
-def divergence_hat(w: Sequence[Field]) -> tuple[Grid, np.ndarray]:
-    """The grid and the half-spectrum of div w, all components
-    transformed in one call."""
-    if len(w) == 0:
-        raise ValueError("divergence needs at least one component")
-    g = w[0].grid
-    if len(w) != g.dim:
-        raise ValueError(f"expected {g.dim} components, got {len(w)}")
-    if any(comp.grid is not g and comp.grid != g for comp in w):
-        raise ValueError("components live on different grids")
-    wh = g.rfft(np.stack([comp.values for comp in w]))
-    return g, np.sum(g.half.ik * wh, axis=0)
 

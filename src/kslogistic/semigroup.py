@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Field, divergence_hat
+from .grid import Field
 
 __all__ = ["apply_T", "apply_T_div"]
 
@@ -32,8 +32,14 @@ def apply_T(t: float, f: Field) -> Field:
 
 
 def apply_T_div(t: float, w: Sequence[Field]) -> Field:
-    """Apply T(t) to div w in one spectral pass.  Needs t > 0."""
+    """Apply T(t) to div w in one spectral pass, all components
+    transformed in one call.  Needs t > 0."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    g, coef = divergence_hat(w)
+    if not w or len(w) != w[0].grid.dim:
+        raise ValueError(f"expected one component per axis, got {len(w)}")
+    g = w[0].grid
+    if any(comp.grid is not g and comp.grid != g for comp in w):
+        raise ValueError("components live on different grids")
+    coef = np.sum(g.half.ik * g.rfft(np.stack([comp.values for comp in w])), axis=0)
     return Field(g, g.irfft(np.exp(-t * (1.0 + g.half.k2)) * coef))

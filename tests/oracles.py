@@ -3,11 +3,12 @@
 Everything here deliberately avoids the package's spectral code paths:
 resolvents and semigroups are evaluated by quadrature against explicit
 kernels, time integration by a plain fourth-order Runge-Kutta loop on
-the semi-discrete system, and the stepper and noise builder are also
-kept in their original full complex-FFT form, on the dense multipliers
-of ``full_multipliers``.  The report writers are kept in their original
-form too: a pure ``json.dumps`` of the report dict, and snapshot tables
-formatted value by value with f-strings.  ``nonlinearity`` is the one
+the semi-discrete system, and the stepper, the noise builder and the
+gradient, divergence and Laplacian are taken in full complex-FFT form,
+on the dense multipliers of ``full_multipliers``.  The report writers
+are kept in their original form too: a pure ``json.dumps`` of the
+report dict, and snapshot tables formatted value by value with
+f-strings.  ``nonlinearity`` is the one
 exception: it exposes the stepper's own F(u) to the tests.
 """
 
@@ -222,6 +223,21 @@ def laplacian(f):
     full complex spectrum."""
     c = sfft.fftn(f.values, norm="forward")
     return Field(f.grid, sfft.ifftn(-full_multipliers(f.grid).k2 * c, norm="forward").real)
+
+
+def gradient(f):
+    """Spectral gradient on the full complex spectrum, one Field per
+    axis; Nyquist modes are dropped."""
+    c = sfft.fftn(f.values, norm="forward")
+    return tuple(Field(f.grid, sfft.ifftn(ik * c, norm="forward").real) for ik in full_multipliers(f.grid).ik)
+
+
+def divergence(w):
+    """Spectral divergence of per-axis components on the full complex
+    spectrum; Nyquist modes are dropped."""
+    g = w[0].grid
+    c = sum(ik * sfft.fftn(comp.values, norm="forward") for ik, comp in zip(full_multipliers(g).ik, w))
+    return Field(g, sfft.ifftn(c, norm="forward").real)
 
 
 def full_fft_step(u, grid, p, dt, dealias=True):

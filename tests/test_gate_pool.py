@@ -37,7 +37,7 @@ def pool_path(monkeypatch):
 
 def _no_calls_left() -> bool:
     """Only finished reports in the cache, no run_many call."""
-    return not any(callable(v) for v in acceptance._REPORTS.values())
+    return all(isinstance(v, harness.Report) for v in acceptance._REPORTS.values())
 
 
 def test_import_does_not_load_scipy_integrate():
@@ -59,17 +59,33 @@ def test_kernel_quadrature_alone_flags_a_resolvent_off_by_1e_5(monkeypatch):
 
 
 def test_each_criterion_reads_the_runs_it_declares(monkeypatch):
-    real = acceptance.bundled_report
+    """Fed the reports of its declared runs, a criterion gives its
+    verdict without fetching a run itself."""
+    fed = {name: [acceptance.bundled_report(r) for r in acceptance.runs_read(name)]
+           for name in acceptance.CRITERIA}
+
+    def no_fetch(run_name, pending=None):
+        raise AssertionError(f"a criterion fetched {run_name} itself")
+
+    monkeypatch.setattr(acceptance, "bundled_report", no_fetch)
     for name, criterion in acceptance.CRITERIA.items():
-        calls = []
+        passed, detail = criterion(*fed[name])
+        assert passed and isinstance(detail, str), (name, detail)
 
-        def recording(run_name, calls=calls):
-            calls.append(run_name)
-            return real(run_name)
 
-        monkeypatch.setattr(acceptance, "bundled_report", recording)
-        criterion()
-        assert sorted(set(calls)) == sorted(acceptance.runs_read(name)), name
+def test_unknown_criterion_fails_before_anything_runs(pool_path, capsys):
+    assert main(["verify-all", "--only", "fisher_speed", "nosuch"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: unknown criterion 'nosuch'; known: [")
+    assert acceptance._REPORTS == {}
+
+
+def test_bare_only_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--only"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_only_starts_no_run_for_criteria_that_read_none(pool_path, capsys):
@@ -107,9 +123,8 @@ def test_run_all_prints_the_pool_line_and_leaves_no_worker(pool_path):
 
 @needs_fork
 def test_no_worker_outlives_a_failing_criterion(pool_path, monkeypatch):
-    def forced_fail():
-        acceptance.bundled_report("fisher_1d")
-        return False, "forced failure", None
+    def forced_fail(rep):
+        return False, "forced failure"
 
     monkeypatch.setitem(acceptance.CRITERIA, "fisher_speed", forced_fail)
     results = acceptance.run_all(["fisher_speed", "envelope_run"])

@@ -8,19 +8,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kslogistic import grid
-from kslogistic.grid import (
-    Field,
-    NonFiniteFieldError,
-    divergence,
-    gradient,
-    make_grid,
-    to_spectral,
-)
+from kslogistic.grid import Field, NonFiniteFieldError, make_grid, to_spectral
 
 from kslogistic.harness import run_many
 from kslogistic.scenario import bundled_scenario_path, load_scenario
+from kslogistic.semigroup import apply_T_div
 
-from oracles import full_multipliers, laplacian, scipy_irfft, scipy_rfft
+from oracles import divergence, full_multipliers, gradient, laplacian, scipy_irfft, scipy_rfft
 
 
 def white_field(grid, seed):
@@ -232,12 +226,15 @@ def test_to_spectral_rejects_non_finite():
 
 
 def test_divergence_rejects_component_mismatch():
+    # apply_T_div is the package's one divergence path
     g = make_grid(2, 16, 1.0)
     f = Field(g, np.zeros(g.shape))
-    with pytest.raises(ValueError):
-        divergence([f])
-    with pytest.raises(ValueError):
-        divergence([])
+    with pytest.raises(ValueError, match="one component per axis"):
+        apply_T_div(0.1, [f])
+    with pytest.raises(ValueError, match="one component per axis"):
+        apply_T_div(0.1, [])
+    with pytest.raises(ValueError, match="different grids"):
+        apply_T_div(0.1, [f, Field(make_grid(2, 16, 2.0), f.values)])
 
 
 # -- batches split across the helper thread ---------------------------------

@@ -208,6 +208,29 @@ class TestSchema:
             tiny(checks={"mass_growth": cfg})
         assert tiny(checks={"mass_growth": {"r": math.inf, "tol": 0.0}}).checks["mass_growth"]["r"] == math.inf
 
+    @pytest.mark.parametrize(
+        "name, cfg, key",
+        [
+            ("envelope", {"tol": math.nan}, "tol"),
+            ("envelope", {"tol": -1.0}, "tol"),
+            ("boundary_guard", {"far_value": math.nan}, "far_value"),
+            ("speed_range", {"min": -math.inf, "max": 2.0}, "min"),
+            ("speed_range", {"min": 1.0, "max": math.nan}, "max"),
+            ("equilibrium", {"tol": -1.0}, "tol"),
+            ("equilibrium", {"trend_from": math.nan}, "trend_from"),
+            ("equilibrium", {"trend_from": -1.0}, "trend_from"),
+            ("spreading_limits", {"inner_tol": math.inf}, "inner_tol"),
+            ("spreading_limits", {"outer_tol": -1e-4}, "outer_tol"),
+            ("spreading_limits", {"inner_factor": -1.0}, "inner_factor"),
+            ("spreading_limits", {"outer_factor": 0.0}, "outer_factor"),
+        ],
+    )
+    def test_check_parameters_checked_at_load(self, name, cfg, key):
+        # refused at load, not by the check after the whole run
+        with pytest.raises(ScenarioError, match=rf"^scenario: checks\.{name}\.{key} must be"):
+            tiny(checks={name: cfg})
+        assert tiny(checks={"equilibrium": {"trend_from": 0.0}}).checks["equilibrium"]["trend_from"] == 0.0
+
     def test_zero_growth_needs_explicit_front_level(self):
         with pytest.raises(ScenarioError, match="front_level"):
             tiny(params={"a": 0.0})

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from kslogistic.grid import Field, gradient, make_grid
+from kslogistic.grid import Field, make_grid
 from kslogistic.helmholtz import grad_potential, solve
 
-from oracles import bessel_resolvent_1d, full_multipliers, laplacian, smooth_field
+from oracles import bessel_resolvent_1d, full_multipliers, gradient, laplacian, smooth_field
 
 
 def test_single_mode_exactness_1d():

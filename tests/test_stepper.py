@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kslogistic.checks import SpreadingLimits
-from kslogistic.grid import Field, NonFiniteFieldError, divergence, make_grid
+from kslogistic.grid import Field, NonFiniteFieldError, make_grid
 from kslogistic.harness import run
 from kslogistic.helmholtz import grad_potential, solve
 from kslogistic.params import Params
@@ -19,7 +19,7 @@ from kslogistic.stepper import (
     step,
 )
 
-from oracles import full_fft_step, nonlinearity, rk4_reaction_diffusion
+from oracles import divergence, full_fft_step, nonlinearity, rk4_reaction_diffusion
 
 
 def gaussian_ic(grid, amp=1.2, width=1.5):
