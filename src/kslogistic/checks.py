@@ -24,7 +24,6 @@ import numpy as np
 
 from .diagnostics import (
     CheckVerdict,
-    _radius_mesh,
     boundary_guard,
     check_lr_growth,
     lp_norm,
@@ -48,12 +47,14 @@ _FACTOR = (lambda x: 0.0 < x < math.inf, "finite and > 0")
 
 class Check:
     """Base unit: subclasses set name and schema and define verdict;
-    limits maps a parameter to (test, what the value must be), which
-    the loader applies."""
+    limits maps a parameter to (test, what the value must be), and
+    rule, where set, is (test, what the parameters must have) on the
+    whole parameter dict.  The loader applies limits, then rule."""
 
     name = ""
     schema: dict = {}
     limits: dict = {}
+    rule: Optional[tuple] = None
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -162,6 +163,7 @@ class SpeedRange(Check):
     name = "speed_range"
     schema = {"min": REQUIRED, "max": REQUIRED}
     limits = {"min": _FINITE, "max": _FINITE}
+    rule = (lambda c: c["min"] <= c["max"], "min <= max")
 
     def verdict(self, run):
         lo, hi = self.cfg["min"], self.cfg["max"]
@@ -301,7 +303,7 @@ class SpreadingLimits(Check):
             )
         t_star = float(run.times[j_star])
         u = self.states[j_star]
-        r_mesh = _radius_mesh(u.grid)
+        r_mesh = u.grid.radius
         inner = r_mesh <= c["inner_factor"] * cval * t_star
         outer = r_mesh >= c["outer_factor"] * cval * t_star
         if not inner.any():

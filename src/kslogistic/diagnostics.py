@@ -86,11 +86,6 @@ class CstarScan:
 
 
 @lru_cache(maxsize=16)
-def _radius_mesh(grid: Grid) -> np.ndarray:
-    return np.sqrt(sum(X**2 for X in np.meshgrid(*grid.axes, indexing="ij")))
-
-
-@lru_cache(maxsize=16)
 def _box_mesh(grid: Grid) -> np.ndarray:
     """Sup-norm distance from the origin, the distance that matters for
     proximity to the box faces."""
@@ -140,7 +135,7 @@ def front_radius(u: Field, level: float) -> float:
     hit = u.values >= level
     if not hit.any():
         return 0.0
-    return float(_radius_mesh(u.grid)[hit].max())
+    return float(u.grid.radius[hit].max())
 
 
 def front_trace(snapshots: Sequence[tuple], level: float, guard: float = 0.1) -> tuple:
@@ -200,7 +195,7 @@ def cstar_functional(
     u: Field, v: Field, p: Params, inner_radius: float
 ) -> CstarScan:
     """Scan the spreading-speed functionals over |x| >= inner_radius."""
-    region = _radius_mesh(u.grid) >= inner_radius
+    region = u.grid.radius >= inner_radius
     n = int(region.sum())
     if n == 0:
         raise ValueError(f"no grid points with |x| >= {inner_radius}")
@@ -224,21 +219,10 @@ def cstar_functional(
     )
 
 
-def equilibrium_distance(
-    u: Field, v: Field, p: Params, region_radius: Optional[float] = None
-) -> tuple:
-    """Sup distance of (u, v) from the uniform state a/b, optionally
-    restricted to the ball |x| <= region_radius."""
+def equilibrium_distance(u: Field, v: Field, p: Params) -> tuple:
+    """Sup distance of (u, v) from the uniform state a/b over the box."""
     target = p.a / p.b
-    if region_radius is None:
-        region = np.ones(u.grid.shape, dtype=bool)
-    else:
-        region = _radius_mesh(u.grid) <= region_radius
-        if not region.any():
-            raise ValueError(f"no grid points with |x| <= {region_radius}")
-    du = float(np.max(np.abs(u.values[region] - target)))
-    dv = float(np.max(np.abs(v.values[region] - target)))
-    return du, dv
+    return float(np.max(np.abs(u.values - target))), float(np.max(np.abs(v.values - target)))
 
 
 def sandwich_check(u: Field, v: Field) -> CheckVerdict:

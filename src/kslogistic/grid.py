@@ -175,7 +175,8 @@ class Grid:
 
     Spectral work uses one layout, the rfftn half-spectrum: ``rfft``
     and ``irfft`` transform into and out of it, and ``half`` holds its
-    multipliers, built once per (dim, n, L) and shared.
+    multipliers, built once per (dim, n, L) and shared, as is the
+    |x| mesh ``radius``.
     """
 
     dim: int
@@ -210,6 +211,11 @@ class Grid:
         """Multipliers on the half-spectrum layout, shared by equal grids."""
         return _half_spectrum(self.dim, self.n, float(self.half_width))
 
+    @property
+    def radius(self) -> np.ndarray:
+        """|x| at every grid point, read-only and shared by equal grids."""
+        return _radius_mesh(self)
+
     def rfft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Forward real transform over the last dim axes (leading axes
         batch), divided by n**dim so the k = 0 coefficient is the mean.
@@ -243,6 +249,13 @@ class Grid:
         """Real field (or batch) times a half-spectrum multiplier (or a
         stack of them), back in physical space."""
         return self.irfft(multiplier * self.rfft(values))
+
+
+@lru_cache(maxsize=16)
+def _radius_mesh(grid: Grid) -> np.ndarray:
+    r = np.sqrt(sum(X**2 for X in np.meshgrid(*grid.axes, indexing="ij")))
+    r.flags.writeable = False
+    return r
 
 
 @dataclass(frozen=True)

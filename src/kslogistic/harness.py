@@ -59,6 +59,9 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
+#: the far-field scan covers |x| >= this many front radii
+_CSTAR_INNER_FACTOR = 1.5
+
 CSV_COLUMNS = (
     "t",
     "mass",
@@ -252,7 +255,7 @@ def run(scenario: Scenario) -> Report:
                     ),
                 }
             )
-        du, dv = equilibrium_distance(u, v, p, diag.equilibrium_radius)
+        du, dv = equilibrium_distance(u, v, p)
         cols["dist_u_ab"].append(du)
         cols["dist_v_ab"].append(dv)
 
@@ -261,7 +264,7 @@ def run(scenario: Scenario) -> Report:
         # only where rounding leaves v <= 0, so there is nothing to scan
         if valid and radius > 0.0 and p.a > 0.0:
             try:
-                scan = cstar_functional(u, v, p, diag.cstar_inner_factor * radius)
+                scan = cstar_functional(u, v, p, _CSTAR_INNER_FACTOR * radius)
             except ValueError:
                 scan = None
             if scan is not None:

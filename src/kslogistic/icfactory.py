@@ -1,21 +1,21 @@
 """Deterministic initial-condition constructors.
 
 Every kind produces a nonnegative field, and the compactly supported
-kinds are exactly zero outside center +- (radius + 3 width) so that
-boundary-guard checks start from a genuinely flat tail.  Randomness is
+kinds are exactly zero from |x| = radius + 3 width outward so that
+boundary-guard checks start from a genuinely flat tail.  Bumps sit at
+the origin, as the system is translation-invariant.  Randomness is
 confined to ``positive_random`` and fully determined by ``seed``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .grid import Field, Grid
 
-__all__ = ["ICSpec", "realize", "placed_center", "band_limited_noise", "KINDS"]
+__all__ = ["ICSpec", "realize", "check_placement", "band_limited_noise", "KINDS"]
 
 KINDS = (
     "constant",
@@ -34,8 +34,8 @@ class ICSpec:
     """What to build.  Fields are read per kind:
 
     constant            amplitude
-    gaussian            amplitude, center, width (standard deviation)
-    smoothed_indicator  amplitude, center, radius (plateau), width
+    gaussian            amplitude, width (standard deviation)
+    smoothed_indicator  amplitude, radius (plateau), width
                         (edge scale; support ends at radius + 3 width)
     positive_random     floor (exact minimum), amplitude (band height),
                         seed
@@ -44,7 +44,6 @@ class ICSpec:
 
     kind: str
     amplitude: float = 1.0
-    center: Union[float, tuple] = 0.0
     radius: float = 1.0
     width: float = 0.5
     floor: float = 0.0
@@ -69,31 +68,17 @@ class ICSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def placed_center(spec: ICSpec, grid: Grid, guard: float) -> tuple:
-    """The spec's center, one component per axis of the grid.
-
-    Compactly supported kinds must fit inside the guard zone, i.e.
-    within (1 - guard) * half_width of the origin along every axis.
-    """
-    c = spec.center
-    c = (float(c),) * grid.dim if np.isscalar(c) else tuple(float(x) for x in c)
-    if len(c) != grid.dim:
-        raise ValueError(f"center has {len(c)} components for a {grid.dim}-D grid")
+def check_placement(spec: ICSpec, grid: Grid, guard: float) -> None:
+    """Compactly supported kinds must fit inside the guard zone, i.e.
+    within (1 - guard) * half_width of the origin."""
     if spec.kind in ("smoothed_indicator", "constant_plus_bump"):
         extent = spec.radius + 3 * spec.width
         limit = (1.0 - guard) * grid.half_width
-        for x in c:
-            if abs(x) + extent > limit:
-                raise ValueError(
-                    f"{spec.kind} support reaches {abs(x) + extent:.4g}, beyond the "
-                    f"guard boundary {limit:.4g}; shrink it or enlarge the box"
-                )
-    return c
-
-
-def _dist(grid: Grid, center: tuple) -> np.ndarray:
-    mesh = np.meshgrid(*grid.axes, indexing="ij")
-    return np.sqrt(sum((X - c) ** 2 for X, c in zip(mesh, center)))
+        if extent > limit:
+            raise ValueError(
+                f"{spec.kind} support reaches {extent:.4g}, beyond the "
+                f"guard boundary {limit:.4g}; shrink it or enlarge the box"
+            )
 
 
 def _bump(dist: np.ndarray, amplitude: float, radius: float, width: float) -> np.ndarray:
@@ -119,19 +104,16 @@ def band_limited_noise(grid: Grid, rng: np.random.Generator, band: int) -> np.nd
 
 
 def realize(spec: ICSpec, grid: Grid, guard: float = 0.1) -> Field:
-    """Sample the spec on the grid, placed as placed_center checks."""
-    center = placed_center(spec, grid, guard)
+    """Sample the spec on the grid, once check_placement passes."""
+    check_placement(spec, grid, guard)
     if spec.kind == "constant":
         vals = np.full(grid.shape, spec.amplitude)
     elif spec.kind == "gaussian":
-        d = _dist(grid, center)
-        vals = spec.amplitude * np.exp(-(d**2) / (2.0 * spec.width**2))
+        vals = spec.amplitude * np.exp(-(grid.radius**2) / (2.0 * spec.width**2))
     elif spec.kind == "smoothed_indicator":
-        vals = _bump(_dist(grid, center), spec.amplitude, spec.radius, spec.width)
+        vals = _bump(grid.radius, spec.amplitude, spec.radius, spec.width)
     elif spec.kind == "constant_plus_bump":
-        vals = spec.floor + _bump(
-            _dist(grid, center), spec.amplitude, spec.radius, spec.width
-        )
+        vals = spec.floor + _bump(grid.radius, spec.amplitude, spec.radius, spec.width)
     elif spec.kind == "positive_random":
         noise = band_limited_noise(grid, np.random.default_rng(spec.seed), _NOISE_BAND)
         noise -= noise.min()

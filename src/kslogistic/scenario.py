@@ -31,7 +31,7 @@ import yaml
 from .checks import CHECKS
 from .checks import REQUIRED as _REQUIRED
 from .grid import Grid
-from .icfactory import ICSpec, placed_center
+from .icfactory import ICSpec, check_placement
 from .params import Params
 from .stepper import StepControl
 
@@ -58,17 +58,13 @@ class DiagnosticsConfig:
     """Sampling cadence and measurement knobs.
 
     front_level None means a / (2 b).  snapshot_every = 0 disables
-    snapshot storage; k > 0 stores every k-th sample.  cstar_inner_factor
-    sets the inner radius of the far-field functional scan as a multiple
-    of the current front radius.
+    snapshot storage; k > 0 stores every k-th sample.
     """
 
     sample_interval: float
     front_level: float | None = None
     guard: float = 0.1
     snapshot_every: int = 0
-    equilibrium_radius: float | None = None
-    cstar_inner_factor: float = 1.5
 
     def __post_init__(self) -> None:
         if not self.sample_interval > 0:
@@ -77,10 +73,8 @@ class DiagnosticsConfig:
             raise ValueError(f"guard must lie in (0, 1/2), got {self.guard}")
         if self.snapshot_every < 0:
             raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
-        # front_level and equilibrium_radius may be None
-        for key in ("front_level", "equilibrium_radius", "cstar_inner_factor"):
-            if getattr(self, key) is not None and not 0 < getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
+        if self.front_level is not None and not 0 < self.front_level < math.inf:
+            raise ValueError(f"front_level must be finite and positive, got {self.front_level}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +93,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         timing(self)
-        try:  # the rules realize enforces across grid, ic and diagnostics
-            placed_center(self.ic, self.grid, self.diagnostics.guard)
+        try:  # the rule realize enforces across grid, ic and diagnostics
+            check_placement(self.ic, self.grid, self.diagnostics.guard)
         except ValueError as e:
             raise ScenarioError(f"ic: {e}") from None
         if self.diagnostics.front_level is None and self.params.a == 0:
@@ -115,7 +109,7 @@ class Scenario:
         out = {"schema_version": self.schema_version, "name": self.name}
         for sec in _SECTIONS:
             obj = getattr(self, sec)
-            out[sec] = {k: _echo(getattr(obj, k)) for k in _section_schema(sec)}
+            out[sec] = {k: getattr(obj, k) for k in _section_schema(sec)}
         out["checks"] = {k: dict(v) for k, v in self.checks.items()}
         return out
 
@@ -133,7 +127,6 @@ _SECTIONS = {
 _KINDS = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
-    bool: ((bool,), "a boolean"),
     str: ((str,), "a string"),
 }
 
@@ -161,21 +154,14 @@ def _coerce(val: Any, tp, where: str):
     """val as a value of the field type tp, else a ScenarioError naming
     where.  Booleans are not numbers; ints are accepted for floats."""
     args = get_args(tp)
-    if args:  # float | None, or ICSpec.center: a float or one per axis
-        if val is None and type(None) in args:
+    if args:  # float | None
+        if val is None:
             return None
-        if isinstance(val, list) and tuple in args:
-            return tuple(_coerce(c, float, f"{where}[{i}]") for i, c in enumerate(val))
         tp = args[0]
     accepted, noun = _KINDS[tp]
-    if not isinstance(val, accepted) or (isinstance(val, bool) and tp is not bool):
+    if not isinstance(val, accepted) or isinstance(val, bool):
         raise ScenarioError(f"{where} must be {noun}, got {val!r}")
     return tp(val)
-
-
-def _echo(val):
-    """A tuple (a per-axis ICSpec.center) echoes as a YAML list."""
-    return list(val) if isinstance(val, tuple) else val
 
 
 def _expect_mapping(value: Any, where: str) -> dict:
@@ -287,6 +273,9 @@ def normalize_checks(checks) -> dict:
         for k, (holds, what) in CHECKS[name].limits.items():
             if not holds(out[name][k]):
                 raise ScenarioError(f"{where}.{k} must be {what}, got {out[name][k]!r}")
+        rule = CHECKS[name].rule
+        if rule is not None and not rule[0](out[name]):
+            raise ScenarioError(f"{where} must have {rule[1]}, got {out[name]!r}")
     return out
 
 

@@ -75,7 +75,6 @@ class StepControl:
 
     dt: float
     t_end: float
-    dealias: bool = True
     negativity_budget: float | None = None
     blowup_threshold: float | None = None
 
@@ -98,7 +97,7 @@ class StepControl:
             neg = 1e-10 * (1.0 + amp)
         if blow is None:
             blow = 1e4 * max(1.0, amp, p.a / p.b)
-        return StepControl(self.dt, self.t_end, self.dealias, neg, blow)
+        return StepControl(self.dt, self.t_end, neg, blow)
 
 
 class State:
@@ -134,15 +133,14 @@ def initial_state(u0: Field) -> State:
 
 
 @lru_cache(maxsize=8)
-def _plan(grid: Grid, dt: float, b: float, chi: float, dealias: bool):
+def _plan(grid: Grid, dt: float, b: float, chi: float):
     """What a step multiplies by, on the half-spectrum, as the tuple
     (E, dt phi1, dt phi1 / 2, synth, weights).
 
     E = exp(-dt (1 + |k|^2)).  synth makes the factors of the products
     before their inverse transform (u, then grad v if chi != 0);
     weights takes the products after their forward transform (b on
-    u^2, then chi i k_i on each flux).  Both are 2/3-masked with
-    dealias.
+    u^2, then chi i k_i on each flux).  Both are 2/3-masked.
     """
     hs = grid.half
     z = -dt * (1.0 + hs.k2)
@@ -154,12 +152,11 @@ def _plan(grid: Grid, dt: float, b: float, chi: float, dealias: bool):
     phi1[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
     zb = z[~small]
     phi1[~small] = np.expm1(zb) / zb
-    mask = hs.mask if dealias else np.ones_like(hs.mask)
-    synth = [mask]
-    weights = [b * mask]
+    synth = [hs.mask]
+    weights = [b * hs.mask]
     if chi != 0.0:
-        synth += list(hs.masked_grad_resolvent if dealias else hs.grad_resolvent)
-        weights += list(chi * mask * hs.ik)
+        synth += list(hs.masked_grad_resolvent)
+        weights += list(chi * hs.mask * hs.ik)
     plan = (E, dt * phi1, 0.5 * dt * phi1, np.stack(synth), np.stack(weights))
     # every multiplier meets complex coefficients; made complex once
     # here, they are not cast again on every product, and the products
@@ -214,7 +211,7 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
         raise ValueError(f"steps must be at least 1, got {steps}")
     if control.negativity_budget is None or control.blowup_threshold is None:
         raise ValueError("step needs resolved budgets: pass control.resolved(u0, params)")
-    E, P, half_P, synth, weights = _plan(g, control.dt, p.b, p.chi, control.dealias)
+    E, P, half_P, synth, weights = _plan(g, control.dt, p.b, p.chi)
     a1 = p.a + 1.0
     neg, blow = control.negativity_budget, control.blowup_threshold
 

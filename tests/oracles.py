@@ -177,40 +177,33 @@ def logistic_closed_form(u0, a0, b0, t):
     return a0 * u0 * (1.0 + em) / (b0 * u0 * em + a0)
 
 
-def full_fft_rhs_hat(uh, grid, p, dealias):
+def full_fft_rhs_hat(uh, grid, p):
     """F(u) = -chi div(u grad v) + (a+1) u - b u^2 on the full complex
     spectrum: one inverse transform per factor and one forward
     transform per product, 2/3-truncated before and after products."""
     m = full_multipliers(grid)
     mask = m.mask
     vh = uh / (1.0 + m.k2)
-    ud = sfft.ifftn(uh * mask if dealias else uh, norm="forward").real
+    ud = sfft.ifftn(uh * mask, norm="forward").real
     out = (p.a + 1.0) * uh
     if p.chi != 0.0:
         chem = np.zeros_like(uh)
         for a in range(grid.dim):
-            gvh = m.ik[a] * vh
-            if dealias:
-                gvh = gvh * mask
-            gv = sfft.ifftn(gvh, norm="forward").real
-            fluxh = sfft.fftn(ud * gv, norm="forward")
-            if dealias:
-                fluxh = fluxh * mask
+            gv = sfft.ifftn(m.ik[a] * vh * mask, norm="forward").real
+            fluxh = sfft.fftn(ud * gv, norm="forward") * mask
             chem += m.ik[a] * fluxh
         out = out - p.chi * chem
-    sqh = sfft.fftn(ud * ud, norm="forward")
-    if dealias:
-        sqh = sqh * mask
+    sqh = sfft.fftn(ud * ud, norm="forward") * mask
     return out - p.b * sqh
 
 
-def nonlinearity(u, p, dealias=True):
+def nonlinearity(u, p):
     """The stepper's own F(u) as a physical field, v solved internally:
     not an independent route, but the package's plan and products, for
     tests that check them against composed operators."""
     g = u.grid
     # dt = 0: F reads only the product stacks of the plan
-    _, _, _, synth, weights = _plan(g, 0.0, p.b, p.chi, dealias)
+    _, _, _, synth, weights = _plan(g, 0.0, p.b, p.chi)
     uh = g.rfft(u.values)
     phys = g.irfft(synth * uh)
     fh = _rhs(g, uh, phys, weights, p.a + 1.0, np.empty_like(uh), np.empty_like(phys),
@@ -240,7 +233,7 @@ def divergence(w):
     return Field(g, sfft.ifftn(c, norm="forward").real)
 
 
-def full_fft_step(u, grid, p, dt, dealias=True):
+def full_fft_step(u, grid, p, dt):
     """One exponential-Heun step on the full complex spectrum, without
     the abort checks; returns the new u values."""
     z = -dt * (1.0 + full_multipliers(grid).k2)
@@ -252,8 +245,8 @@ def full_fft_step(u, grid, p, dt, dealias=True):
     phi1[~small] = np.expm1(zb) / zb
     P = dt * phi1
     uh = sfft.fftn(u, norm="forward")
-    fn = full_fft_rhs_hat(uh, grid, p, dealias)
-    fp = full_fft_rhs_hat(E * uh + P * fn, grid, p, dealias)
+    fn = full_fft_rhs_hat(uh, grid, p)
+    fp = full_fft_rhs_hat(E * uh + P * fn, grid, p)
     return sfft.ifftn(E * uh + 0.5 * P * (fn + fp), norm="forward").real
 
 

@@ -235,15 +235,14 @@ def test_equilibrium_distance_on_uniform_state():
     assert du < 1e-13 and dv < 1e-13
 
 
-def test_equilibrium_distance_region_restriction():
+def test_equilibrium_distance_covers_the_whole_box():
     g = make_grid(1, 128, 10.0)
     p = Params(chi=0.0, a=1.0, b=1.0, dim=1)
     vals = np.ones(128)
-    vals[np.abs(g.axes[0]) > 6.0] = 0.0  # defect outside the window
+    vals[np.abs(g.axes[0]) > 6.0] = 0.0  # defect near the box faces
     u = Field(g, vals)
-    du_in, _ = equilibrium_distance(u, u, p, region_radius=5.0)
-    du_all, _ = equilibrium_distance(u, u, p)
-    assert du_in < 1e-13 and du_all == pytest.approx(1.0)
+    du, _ = equilibrium_distance(u, u, p)
+    assert du == pytest.approx(1.0)
 
 
 def test_sandwich_check_passes_for_resolvent():

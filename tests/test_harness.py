@@ -40,6 +40,13 @@ from kslogistic.stepper import StepControl
 
 THREED_SMOKE = Path(__file__).parent / "data" / "threed_smoke.yaml"
 SPLIT_SMOKE = Path(__file__).parent / "data" / "split_smoke.yaml"
+# every scenario file in the repo: the bundled ones, the test data and
+# the benchmark's own, read here and never edited
+SCENARIO_FILES = (
+    [bundled_scenario_path(name) for name in bundled_scenario_names()]
+    + sorted((Path(__file__).parent / "data").glob("*.yaml"))
+    + [Path(__file__).parents[1] / "bench" / "front_2d.yaml"]
+)
 
 TINY = {
     "schema_version": 1,
@@ -56,23 +63,26 @@ TINY = {
 # every section key of the scenario file, by the kind of value it takes
 NUMBER_KEYS = [
     "grid.half_width", "params.chi", "params.a", "params.b",
-    "ic.amplitude", "ic.center", "ic.radius", "ic.width", "ic.floor",
+    "ic.amplitude", "ic.radius", "ic.width", "ic.floor",
     "control.dt", "control.t_end", "control.negativity_budget",
     "control.blowup_threshold", "diagnostics.sample_interval",
     "diagnostics.front_level", "diagnostics.guard",
-    "diagnostics.equilibrium_radius", "diagnostics.cstar_inner_factor",
 ]
 INTEGER_KEYS = ["grid.dim", "grid.n", "ic.seed", "diagnostics.snapshot_every"]
-OTHER_KEYS = ["control.dealias", "ic.kind"]
+OTHER_KEYS = ["ic.kind"]
 NULLABLE_KEYS = {
-    "diagnostics.front_level", "diagnostics.equilibrium_radius",
-    "control.negativity_budget", "control.blowup_threshold",
+    "diagnostics.front_level", "control.negativity_budget", "control.blowup_threshold",
 }
 WRONG_KIND = (
     [(key, bad) for key in NUMBER_KEYS for bad in ("1.0", True)]
     + [(key, bad) for key in INTEGER_KEYS for bad in ("1", True, 2.5)]
-    + [("control.dealias", 1), ("ic.kind", 3)]
+    + [("ic.kind", 3)]
 )
+# settings that no scenario set, removed from the schema
+REMOVED_KEYS = [
+    "ic.center", "control.dealias",
+    "diagnostics.equilibrium_radius", "diagnostics.cstar_inner_factor",
+]
 
 
 def tiny(**patch) -> Scenario:
@@ -91,10 +101,10 @@ class TestSchema:
         again = scenario_from_dict(sc.to_dict())
         assert again == sc
 
-    @pytest.mark.parametrize("name", bundled_scenario_names())
-    def test_bundled_scenarios_load(self, name):
-        sc = load_scenario(bundled_scenario_path(name))
-        assert sc.name == name
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: path.stem)
+    def test_bundled_scenarios_load(self, path):
+        sc = load_scenario(path)
+        assert sc.name == path.stem
         assert scenario_from_dict(sc.to_dict()) == sc
 
     def test_bundled_unknown_name(self):
@@ -106,9 +116,11 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="extra"):
             scenario_from_dict(data)
 
-    def test_unknown_nested_key_named(self):
-        with pytest.raises(ScenarioError, match="refinement"):
-            tiny(grid={"refinement": 2})
+    @pytest.mark.parametrize("key", ["grid.refinement"] + REMOVED_KEYS)
+    def test_unknown_nested_key_named(self, key):
+        sec, name = key.split(".")
+        with pytest.raises(ScenarioError, match=rf"^unknown key\(s\) \['{name}'\] in scenario\.{sec}$"):
+            tiny(**{sec: {name: 1}})
 
     def test_missing_required_section(self):
         data = {k: v for k, v in TINY.items() if k != "params"}
@@ -150,8 +162,8 @@ class TestSchema:
 
     def test_type_errors_name_the_value(self):
         with pytest.raises(ScenarioError) as err:
-            tiny(ic={"center": [0.0, "a"]})
-        assert str(err.value) == "scenario.ic.center[1] must be a number, got 'a'"
+            tiny(ic={"width": "a"})
+        assert str(err.value) == "scenario.ic.width must be a number, got 'a'"
         with pytest.raises(ScenarioError) as err:
             tiny(ic={"kind": 3})
         assert str(err.value) == "scenario.ic.kind must be a string, got 3"
@@ -191,7 +203,7 @@ class TestSchema:
     # front_level sets the front radius that anchors the far-field scan;
     # no point reaches an infinite level, so the radius would read 0.0,
     # valid, at every sample
-    @pytest.mark.parametrize("key", ["equilibrium_radius", "cstar_inner_factor", "front_level"])
+    @pytest.mark.parametrize("key", ["front_level"])
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
     def test_far_field_settings_must_be_finite_and_positive(self, key, bad):
         with pytest.raises(ScenarioError, match=rf"^scenario\.diagnostics: {key} must be finite and positive"):
@@ -247,6 +259,15 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="min"):
             tiny(checks={"speed_range": {"max": 2.0}})
 
+    def test_speed_range_bounds_must_be_ordered(self):
+        # refused at load, not by a verdict that no speed can pass
+        with pytest.raises(ScenarioError) as err:
+            tiny(checks={"speed_range": {"min": 3, "max": 1}})
+        assert str(err.value) == (
+            "scenario: checks.speed_range must have min <= max, got {'min': 3.0, 'max': 1.0}"
+        )
+        assert tiny(checks={"speed_range": {"min": 2, "max": 2}}).checks["speed_range"] == {"min": 2.0, "max": 2.0}
+
     def test_parse_error_carries_line_info(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("name: x\ngrid: {dim: 1, n: 64\n")
@@ -287,13 +308,10 @@ class TestSchema:
             replace(tiny(), control=StepControl(dt=0.01, t_end=0.55))
 
     def test_ic_placement_checked_at_load(self):
-        # the rules realize applies, raised before any run
-        with pytest.raises(ScenarioError, match=r"^scenario: ic: center has 2 components for a 1-D grid$"):
-            tiny(ic={"center": [1.0, 2.0]})
-        # the support, radius + 3 width = 5 + 4.5, against (1 - 0.1) * 10
+        # the rule realize applies, raised before any run: the support,
+        # radius + 3 width = 5 + 4.5, against (1 - 0.1) * 10
         with pytest.raises(ScenarioError, match=r"ic: smoothed_indicator support reaches 9.5, beyond the guard boundary 9;"):
             tiny(ic={"kind": "smoothed_indicator", "radius": 5.0})
-        assert tiny(ic={"center": [1.0]}).ic.center == (1.0,)
         assert tiny(ic={"kind": "smoothed_indicator", "radius": 4.0}).ic.radius == 4.0
 
 

@@ -35,18 +35,10 @@ def test_gaussian_mass_2d():
 def test_gaussian_3d_mass_and_center():
     g = make_grid(3, 48, 10.0)
     amp, sigma = 1.2, 1.0
-    f = realize(ICSpec(kind="gaussian", amplitude=amp, center=(2.0, -3.0, 1.0), width=sigma), g)
+    f = realize(ICSpec(kind="gaussian", amplitude=amp, width=sigma), g)
     assert lp_norm(f, 1) == pytest.approx(amp * (2 * math.pi) ** 1.5 * sigma**3, rel=1e-10)
     i = np.unravel_index(np.argmax(f.values), f.values.shape)
-    assert [g.axes[a][i[a]] for a in range(3)] == pytest.approx([2.0, -3.0, 1.0], abs=g.h)
-
-
-def test_gaussian_off_center():
-    g = make_grid(2, 64, 10.0)
-    f = realize(ICSpec(kind="gaussian", amplitude=1.0, center=(2.0, -3.0), width=1.0), g)
-    i = np.unravel_index(np.argmax(f.values), f.values.shape)
-    assert g.axes[0][i[0]] == pytest.approx(2.0, abs=g.h)
-    assert g.axes[1][i[1]] == pytest.approx(-3.0, abs=g.h)
+    assert [g.axes[a][i[a]] for a in range(3)] == pytest.approx([0.0, 0.0, 0.0], abs=g.h)
 
 
 def test_smoothed_indicator_support_and_plateau():
@@ -69,12 +61,6 @@ def test_smoothed_indicator_must_fit_guard_zone():
     g = make_grid(1, 128, 10.0)
     with pytest.raises(ValueError, match="guard"):
         realize(ICSpec(kind="smoothed_indicator", amplitude=1.0, radius=7.0, width=1.0), g)
-    # off-center support can also spill over
-    with pytest.raises(ValueError, match="guard"):
-        realize(
-            ICSpec(kind="smoothed_indicator", amplitude=1.0, center=6.0, radius=2.0, width=0.5),
-            g,
-        )
 
 
 def test_positive_random_floor_and_band():
@@ -145,9 +131,3 @@ def test_icspec_validation():
         ICSpec(kind="constant", floor=-0.5)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         ICSpec(kind="positive_random", floor=0.5, seed=-1)
-
-
-def test_center_dimension_checked():
-    g = make_grid(2, 32, 5.0)
-    with pytest.raises(ValueError, match="center"):
-        realize(ICSpec(kind="gaussian", center=(1.0,)), g)
