@@ -42,7 +42,6 @@ REQUIRED = object()
 # limits shared by several parameters; nan fails every comparison
 _FINITE = (math.isfinite, "finite")
 _TOL = (lambda x: 0.0 <= x < math.inf, "finite and >= 0")
-_FACTOR = (lambda x: 0.0 < x < math.inf, "finite and > 0")
 
 
 class Check:
@@ -185,20 +184,16 @@ class SpeedRange(Check):
 
 class Equilibrium(Check):
     """Asserted only for strictly positive data in the stability regime;
-    trend_from None means t_end / 4."""
+    the trend runs from t_end / 4 to the last sample."""
 
     name = "equilibrium"
-    schema = {"tol": 1e-3, "trend_from": None}
-    limits = {"tol": _TOL,
-              "trend_from": (lambda t: t is None or 0.0 <= t < math.inf, "None, or finite and >= 0")}
+    tol = 1e-3
 
     def verdict(self, run):
-        tol, t_from = self.cfg["tol"], self.cfg["trend_from"]
+        tol, t_from = self.tol, run.scenario.control.t_end / 4.0
         asserted = bool(run.regime.stability) and run.series["min_u"][0] > 0.0
         if run.abort is not None:
             return CheckVerdict(self.name, False, asserted, math.nan, "run aborted early")
-        if t_from is None:
-            t_from = run.scenario.control.t_end / 4.0
         t_arr = np.asarray(run.times)
         dist = np.asarray(run.series["dist_u_ab"]) + np.asarray(run.series["dist_v_ab"])
         final = float(dist[-1])
@@ -250,22 +245,18 @@ class CstarPositive(Check):
 
 class SpreadingLimits(Check):
     """Interior flatness and exterior smallness in the wake and ahead of
-    the measured front.
+    the measured front: sup |u - a/b| <= inner_tol on |x| <= inner_factor
+    c t, and sup |u| <= outer_tol on |x| >= outer_factor c t.
 
-    Evaluated at the last sample where the exterior region
-    |x| >= outer_factor * c * t still fits inside the guard radius, so
-    both regions are genuinely resolved by the box.  The speed c is
-    known only from the fit after the run, so every sampled u is kept.
+    Evaluated at the last sample where the exterior region still fits
+    inside the guard radius, so both regions are genuinely resolved by
+    the box.  The speed c is known only from the fit after the run, so
+    every sampled u is kept.
     """
 
     name = "spreading_limits"
-    schema = {
-        "inner_tol": 1e-2,
-        "outer_tol": 1e-4,
-        "inner_factor": 0.5,
-        "outer_factor": 1.5,
-    }
-    limits = {"inner_tol": _TOL, "outer_tol": _TOL, "inner_factor": _FACTOR, "outer_factor": _FACTOR}
+    inner_tol, outer_tol = 1e-2, 1e-4
+    inner_factor, outer_factor = 0.5, 1.5
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -275,7 +266,6 @@ class SpreadingLimits(Check):
         self.states.append(u)
 
     def verdict(self, run):
-        c = self.cfg
         asserted = run.regime.spreading
 
         def fail(detail):
@@ -292,20 +282,20 @@ class SpreadingLimits(Check):
             (
                 j for j in range(len(self.states) - 1, -1, -1)
                 if run.times[j] > 0 and valid[j]
-                and c["outer_factor"] * cval * run.times[j] <= limit
+                and self.outer_factor * cval * run.times[j] <= limit
             ),
             -1,
         )
         if j_star < 0:
             return fail(
-                f"no sample keeps |x| >= {c['outer_factor']:g} c t inside the "
+                f"no sample keeps |x| >= {self.outer_factor:g} c t inside the "
                 f"guard radius {limit:.6g}"
             )
         t_star = float(run.times[j_star])
         u = self.states[j_star]
         r_mesh = u.grid.radius
-        inner = r_mesh <= c["inner_factor"] * cval * t_star
-        outer = r_mesh >= c["outer_factor"] * cval * t_star
+        inner = r_mesh <= self.inner_factor * cval * t_star
+        outer = r_mesh >= self.outer_factor * cval * t_star
         if not inner.any():
             return fail(f"inner region empty at t={t_star:g}")
         if not outer.any():
@@ -313,7 +303,7 @@ class SpreadingLimits(Check):
         target = run.params.a / run.params.b
         inner_sup = float(np.max(np.abs(u.values[inner] - target)))
         outer_sup = float(np.max(np.abs(u.values[outer])))
-        margin = min(c["inner_tol"] - inner_sup, c["outer_tol"] - outer_sup)
+        margin = min(self.inner_tol - inner_sup, self.outer_tol - outer_sup)
         return CheckVerdict(
             self.name,
             margin >= 0.0,
@@ -321,9 +311,9 @@ class SpreadingLimits(Check):
             margin,
             (
                 f"t={t_star:g}, c={cval:.4g}: sup |u - a/b| = {inner_sup:.6g} on "
-                f"|x| <= {c['inner_factor']:g} c t (tol {c['inner_tol']:g}); "
-                f"sup |u| = {outer_sup:.6g} on |x| >= {c['outer_factor']:g} c t "
-                f"(tol {c['outer_tol']:g})"
+                f"|x| <= {self.inner_factor:g} c t (tol {self.inner_tol:g}); "
+                f"sup |u| = {outer_sup:.6g} on |x| >= {self.outer_factor:g} c t "
+                f"(tol {self.outer_tol:g})"
             ),
         )
 

@@ -36,7 +36,16 @@ __all__ = [
     "equilibrium_distance",
     "sandwich_check",
     "boundary_guard",
+    "check_guard",
 ]
+
+
+def check_guard(guard: float) -> None:
+    """The guard band is the outer guard * half_width of the box on each
+    axis.  Past 1/2 the bands from opposite faces overlap and the "far
+    field" stops meaning anything; at 0 there is no band."""
+    if not 0.0 < guard < 0.5:
+        raise ValueError(f"guard must lie in (0, 1/2), got {guard}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +154,7 @@ def front_trace(snapshots: Sequence[tuple], level: float, guard: float = 0.1) ->
     A sample is valid while the radius stays at or below
     (1 - guard) * half_width.
     """
-    if not 0.0 <= guard < 1.0:
-        raise ValueError(f"guard must lie in [0, 1), got {guard}")
+    check_guard(guard)
     if len(snapshots) == 0:
         raise ValueError("no snapshots")
     times = np.array([float(t) for t, _ in snapshots])
@@ -245,10 +253,7 @@ def boundary_guard(u: Field, far_value: float, guard: float = 0.1) -> CheckVerdi
     The band is the set within guard * half_width of a box face; the
     budget is 1e-6 * (1 + |far_value|).
     """
-    # past 1/2 the shells from opposite faces overlap and the "far
-    # field" stops meaning anything
-    if not 0.0 < guard < 0.5:
-        raise ValueError(f"guard must lie in (0, 1/2), got {guard}")
+    check_guard(guard)
     g = u.grid
     shell = _box_mesh(g) >= (1.0 - guard) * g.half_width
     if not shell.any():

@@ -340,16 +340,11 @@ def write_sweep_csv(rows: list, axis: str, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def emit_plot_data(report: Report, plots_dir, force: bool = False) -> dict:
+def emit_plot_data(report: Report, plots_dir) -> dict:
     """Write gnuplot-friendly two-column series files, snapshot tables,
-    and a manifest.  Refuses to overwrite an existing manifest without
-    force."""
+    and a manifest into plots_dir, overwriting files of the same names;
+    run_experiment decides whether a run's outputs may be replaced."""
     plots_dir = Path(plots_dir)
-    manifest_path = plots_dir / "manifest.json"
-    if manifest_path.exists() and not force:
-        raise HarnessError(
-            f"{manifest_path} exists; pass force=True to overwrite"
-        )
     plots_dir.mkdir(parents=True, exist_ok=True)
     g = report.scenario.grid
     dim = g.dim
@@ -383,7 +378,7 @@ def emit_plot_data(report: Report, plots_dir, force: bool = False) -> dict:
         "snapshot_files": snapshot_files,
         "csv_columns": list(CSV_COLUMNS),
     }
-    manifest_path.write_text(json.dumps(_jsonable(manifest), indent=2) + "\n")
+    (plots_dir / "manifest.json").write_text(json.dumps(_jsonable(manifest), indent=2) + "\n")
     return manifest
 
 
@@ -403,7 +398,7 @@ def run_experiment(
     report = run(scenario)
     report_path.write_text(report.to_json() + "\n")
     write_series_csv(report, root / "series.csv")
-    emit_plot_data(report, root / "plots", force=True)
+    emit_plot_data(report, root / "plots")
     return report, {
         "dir": root,
         "report": report_path,
@@ -455,7 +450,7 @@ def _pool_size(n_scenarios: int, workers: int) -> int:
 
 
 @contextmanager
-def run_many(scenarios, workers: int, fn=run):
+def run_many(scenarios, workers: int, fn):
     """One zero-argument call per scenario, in input order, that returns
     fn(scenario) or raises what fn raised.
 

@@ -30,6 +30,7 @@ import yaml
 
 from .checks import CHECKS
 from .checks import REQUIRED as _REQUIRED
+from .diagnostics import check_guard
 from .grid import Grid
 from .icfactory import ICSpec, check_placement
 from .params import Params
@@ -69,8 +70,7 @@ class DiagnosticsConfig:
     def __post_init__(self) -> None:
         if not self.sample_interval > 0:
             raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
-        if not 0.0 < self.guard < 0.5:
-            raise ValueError(f"guard must lie in (0, 1/2), got {self.guard}")
+        check_guard(self.guard)
         if self.snapshot_every < 0:
             raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if self.front_level is not None and not 0 < self.front_level < math.inf:
@@ -92,6 +92,13 @@ class Scenario:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        # run_experiment writes under <output root>/<name>
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ScenarioError(
+                "name must be one plain path component: not empty, '.' or '..', "
+                f"and no '/', '\\' or NUL; got {name!r}"
+            )
         timing(self)
         try:  # the rule realize enforces across grid, ic and diagnostics
             check_placement(self.ic, self.grid, self.diagnostics.guard)
@@ -199,9 +206,6 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
         raise ScenarioError(
             f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}"
         )
-    name = data["name"]
-    if not isinstance(name, str) or not name:
-        raise ScenarioError(f"{source}.name must be a nonempty string")
 
     built = {}
     for sec, cls in _SECTIONS.items():
@@ -217,7 +221,7 @@ def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
     return _build(
         Scenario,
         source,
-        name=name,
+        name=data["name"],
         checks=data.get("checks", {}),
         schema_version=version,
         **built,
@@ -263,13 +267,7 @@ def normalize_checks(checks) -> dict:
         cfg = {} if cfg is None else _expect_mapping(cfg, where)
         schema = CHECKS[name].schema
         _check_keys(cfg, schema, [k for k, d in schema.items() if d is _REQUIRED], where)
-        # a parameter whose default is None may be set to None
-        out[name] = {
-            k: _coerce(cfg[k], float | None if d is None else float, f"{where}.{k}")
-            if k in cfg
-            else d
-            for k, d in schema.items()
-        }
+        out[name] = {k: _coerce(cfg[k], float, f"{where}.{k}") if k in cfg else d for k, d in schema.items()}
         for k, (holds, what) in CHECKS[name].limits.items():
             if not holds(out[name][k]):
                 raise ScenarioError(f"{where}.{k} must be {what}, got {out[name][k]!r}")
@@ -300,30 +298,18 @@ def bundled_scenario_path(name: str) -> Path:
 def with_value(scenario: Scenario, axis: str, value) -> Scenario:
     """Return a copy with one numeric field replaced.
 
-    axis is a dotted path (params.chi, control.dt, grid.n, ic.amplitude)
-    or a bare field name that resolves uniquely across those sections.
-    Only constructor fields are axes, so derived ones such as grid.h are
-    not.  The copy is the loader's reading of the edited echo, so it is
-    validated, and params.dim set, like a loaded scenario.
+    axis is a section.field path into params, control, grid or ic
+    (params.chi, control.dt, grid.n, ic.amplitude).  Only constructor
+    fields are axes, so derived ones such as grid.h are not.  The copy
+    is the loader's reading of the edited echo, so it is validated, and
+    params.dim set, like a loaded scenario.
     """
     sections = {sec: getattr(scenario, sec) for sec in ("params", "control", "grid", "ic")}
-    if "." in axis:
-        sec_name, _, fname = axis.partition(".")
-        if sec_name not in sections:
-            raise ScenarioError(
-                f"axis section {sec_name!r} unknown; use one of {sorted(sections)}"
-            )
-        hits = [(sec_name, fname)]
-    else:
-        hits = [(sname, axis) for sname, obj in sections.items() if axis in _fields(type(obj))]
-        if len(hits) > 1:
-            raise ScenarioError(
-                f"axis {axis!r} is ambiguous across sections "
-                f"{sorted(s for s, _ in hits)}; qualify it"
-            )
-    if not hits:
-        raise ScenarioError(f"axis {axis!r} does not name a scenario field")
-    sec_name, fname = hits[0]
+    sec_name, dot, fname = axis.partition(".")
+    if not dot or sec_name not in sections:
+        raise ScenarioError(
+            f"axis {axis!r} must be section.field with section one of {sorted(sections)}"
+        )
     obj = sections[sec_name]
     if fname not in _fields(type(obj)):
         raise ScenarioError(f"axis {axis!r}: {sec_name} has no field {fname!r}")
@@ -333,7 +319,7 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
     ):
         raise ScenarioError(f"axis {axis!r} is not numeric (current value {current!r})")
     if isinstance(current, int):
-        if float(value) != int(value):
+        if not (math.isfinite(value) and float(value) == int(value)):
             raise ScenarioError(f"axis {axis!r} needs an integer, got {value!r}")
         value = int(value)
     data = scenario.to_dict()

@@ -19,6 +19,7 @@ from kslogistic.diagnostics import (
 from kslogistic.grid import Field, make_grid
 from kslogistic.helmholtz import solve
 from kslogistic.params import Params
+from kslogistic.scenario import DiagnosticsConfig
 
 
 def test_lp_norm_on_constant():
@@ -124,6 +125,20 @@ def test_front_trace_validity_flips_in_guard_band():
     assert list(times) == [0.0, 1.0, 2.0]
     assert list(valid) == [True, True, False]
     assert radii == pytest.approx([2.0, 5.0, 9.5], abs=g.h)
+
+
+@pytest.mark.parametrize("guard", [0.0, 0.5, 0.7])
+def test_guard_rule_is_the_scenarios(guard):
+    # front_trace, boundary_guard and DiagnosticsConfig share check_guard
+    g = make_grid(1, 64, 10.0)
+    u = Field(g, np.zeros(64))
+    rule = rf"^guard must lie in \(0, 1/2\), got {guard}$"
+    with pytest.raises(ValueError, match=rule):
+        front_trace([(0.0, u)], level=0.5, guard=guard)
+    with pytest.raises(ValueError, match=rule):
+        boundary_guard(u, far_value=0.0, guard=guard)
+    with pytest.raises(ValueError, match=rule):
+        DiagnosticsConfig(sample_interval=0.1, guard=guard)
 
 
 def test_estimate_speed_exact_affine():

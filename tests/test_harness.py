@@ -83,6 +83,12 @@ REMOVED_KEYS = [
     "ic.center", "control.dealias",
     "diagnostics.equilibrium_radius", "diagnostics.cstar_inner_factor",
 ]
+# check parameters that no scenario varied, now constants of their units
+REMOVED_CHECK_KEYS = [
+    "equilibrium.tol", "equilibrium.trend_from",
+    "spreading_limits.inner_tol", "spreading_limits.outer_tol",
+    "spreading_limits.inner_factor", "spreading_limits.outer_factor",
+]
 
 
 def tiny(**patch) -> Scenario:
@@ -228,20 +234,27 @@ class TestSchema:
             ("boundary_guard", {"far_value": math.nan}, "far_value"),
             ("speed_range", {"min": -math.inf, "max": 2.0}, "min"),
             ("speed_range", {"min": 1.0, "max": math.nan}, "max"),
-            ("equilibrium", {"tol": -1.0}, "tol"),
-            ("equilibrium", {"trend_from": math.nan}, "trend_from"),
-            ("equilibrium", {"trend_from": -1.0}, "trend_from"),
-            ("spreading_limits", {"inner_tol": math.inf}, "inner_tol"),
-            ("spreading_limits", {"outer_tol": -1e-4}, "outer_tol"),
-            ("spreading_limits", {"inner_factor": -1.0}, "inner_factor"),
-            ("spreading_limits", {"outer_factor": 0.0}, "outer_factor"),
         ],
     )
     def test_check_parameters_checked_at_load(self, name, cfg, key):
         # refused at load, not by the check after the whole run
         with pytest.raises(ScenarioError, match=rf"^scenario: checks\.{name}\.{key} must be"):
             tiny(checks={name: cfg})
-        assert tiny(checks={"equilibrium": {"trend_from": 0.0}}).checks["equilibrium"]["trend_from"] == 0.0
+
+    @pytest.mark.parametrize("key", REMOVED_CHECK_KEYS)
+    def test_removed_check_parameter_is_unknown(self, key):
+        name, param = key.split(".")
+        with pytest.raises(ScenarioError, match=rf"^scenario: unknown key\(s\) \['{param}'\] in checks\.{name}$"):
+            tiny(checks={name: {param: 1.0}})
+        assert tiny(checks={name: {}}).checks[name] == {}
+
+    @pytest.mark.parametrize("name", ["../x", "/tmp/x", "a/b", "a\\b", "a\0b", "..", ".", ""])
+    def test_name_is_one_path_component(self, name):
+        # run_experiment writes under <output root>/<name>
+        with pytest.raises(ScenarioError, match=r"^scenario: name must be one plain path component"):
+            tiny(name=name)
+        with pytest.raises(ScenarioError, match=r"^name must be one plain path component"):
+            replace(tiny(), name=name)
 
     def test_zero_growth_needs_explicit_front_level(self):
         with pytest.raises(ScenarioError, match="front_level"):
@@ -323,13 +336,12 @@ class TestWithValue:
         assert with_value(sc, "grid.n", 128).grid.n == 128
         assert with_value(sc, "ic.amplitude", 1.0).ic.amplitude == 1.0
 
-    def test_bare_name_resolves_when_unique(self):
-        assert with_value(tiny(), "chi", 0.1).params.chi == 0.1
-
-    def test_ambiguous_bare_name_rejected(self):
-        # both grid and params carry a dim field
-        with pytest.raises(ScenarioError, match="ambiguous"):
-            with_value(tiny(), "dim", 2)
+    def test_bare_name_rejected(self):
+        with pytest.raises(ScenarioError, match=r"^axis 'chi' must be section\.field"):
+            with_value(tiny(), "chi", 0.1)
+        # diagnostics holds no axis
+        with pytest.raises(ScenarioError, match=r"^axis 'diagnostics\.guard' must be section\.field"):
+            with_value(tiny(), "diagnostics.guard", 0.2)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ScenarioError, match="no field"):
@@ -341,6 +353,11 @@ class TestWithValue:
     def test_integer_axis_rejects_fraction(self):
         with pytest.raises(ScenarioError, match="integer"):
             with_value(tiny(), "grid.n", 96.5)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_integer_axis_rejects_non_finite(self, value):
+        with pytest.raises(ScenarioError, match=r"^axis 'grid\.n' needs an integer"):
+            with_value(tiny(), "grid.n", value)
 
     def test_invalid_value_rejected_by_field_validation(self):
         with pytest.raises(ScenarioError, match="rejected"):
@@ -471,7 +488,7 @@ class TestRun:
         sc = tiny(
             params={"chi": 0.4, "a": 1.0, "b": 1.0},
             ic={"kind": "constant", "amplitude": 1.0},
-            checks={"equilibrium": {"tol": 1e-3}},
+            checks={"equilibrium": {}},
         )
         rep = run(sc)
         verdict = next(v for v in rep.checks if v.name == "equilibrium")
@@ -544,8 +561,8 @@ class TestOutputs:
         snap = (tmp_path / manifest["snapshot_files"][0]["file"]).read_text()
         cols = snap.splitlines()[2].split()
         assert len(cols) == 3  # x u v
-        with pytest.raises(HarnessError, match="force"):
-            emit_plot_data(rep, tmp_path)
+        # run_experiment decides on overwrites; the writer replaces its files
+        assert emit_plot_data(rep, tmp_path) == manifest
 
     @pytest.mark.parametrize(
         "patch",
@@ -832,6 +849,19 @@ class TestCli:
         csv_path = tmp_path / "out" / "tiny_sweep_params_chi" / "sweep.csv"
         assert csv_path.is_file()
         assert len(csv_path.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "axis, value, match",
+        [("grid.n", "inf", "axis 'grid.n' needs an integer"),
+         ("grid.n", "nan", "axis 'grid.n' needs an integer"),
+         ("chi", "0.1", "axis 'chi' must be section.field")],
+    )
+    def test_sweep_refuses_bad_axis_or_value(self, tmp_path, capsys, axis, value, match):
+        path = self.write_tiny(tmp_path)
+        cmd = ["sweep", str(path), "--axis", axis, "--values", value, "--out", str(tmp_path / "out")]
+        assert main(cmd) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_refuses_overwrite_before_running(self, tmp_path, monkeypatch):
         path = self.write_tiny(tmp_path)

@@ -39,7 +39,7 @@ def scenario(grid="1d", snapshot_every=2):
 def assert_matches_oracles(report, tmp_path):
     for wall in (True, False):
         assert report.to_json(include_wall_time=wall) == report_json(report, wall)
-    manifest = emit_plot_data(report, tmp_path, force=True)
+    manifest = emit_plot_data(report, tmp_path)
     tables = snapshot_tables(report)
     assert [entry["file"] for entry in manifest["snapshot_files"]] == list(tables)
     for fname, text in tables.items():
