@@ -7,7 +7,7 @@ The model: cells u and a chemoattractant v on [-L, L)^dim with
     0   = lap(v) + u - v
 
 v is eliminated through the Helmholtz resolvent (I - lap)^(-1), u is
-advanced by a second-order exponential integrator, and a harness runs
+advanced by a third-order exponential integrator, and a harness runs
 scenario files that check qualitative predictions (growth envelopes,
 comparison bounds, equilibrium stability, front speeds) against runs.
 """

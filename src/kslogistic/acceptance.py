@@ -359,9 +359,9 @@ def crit_convergence_order():
     e_coarse = float(np.max(np.abs(sols[0] - sols[1])))
     e_fine = float(np.max(np.abs(sols[1] - sols[2])))
     order = math.log2(e_coarse / e_fine)
-    passed = order >= 1.9
+    passed = order >= 2.8
     detail = (
-        f"Richardson order {order:.3f} >= 1.9 (errors {e_coarse:.3e} -> "
+        f"Richardson order {order:.3f} >= 2.8 (errors {e_coarse:.3e} -> "
         f"{e_fine:.3e} under dt halving)"
     )
     return passed, detail
@@ -450,10 +450,11 @@ def crit_mutation_sanity():
     except ValueError:
         record("invalid_trace", True)
 
-    # v above a / chi must make the far-field floor undefined
+    # v above a / chi must make the far-field floor undefined; v is
+    # uniform, so grad v is zero
     p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
     v_big = Field(g, np.full(g.shape, 2.5))
-    scan = cstar_functional(u, v_big, p, inner_radius=2.0)
+    scan = cstar_functional(u, v_big, p, inner_radius=2.0, grad_v=(Field(g, np.zeros(g.shape)),))
     record("cstar_positive", not scan.all_defined or scan.speed_min <= 0)
 
     # a state far from a / b must fail the equilibrium tolerance

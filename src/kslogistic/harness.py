@@ -264,7 +264,7 @@ def run(scenario: Scenario) -> Report:
         # only where rounding leaves v <= 0, so there is nothing to scan
         if valid and radius > 0.0 and p.a > 0.0:
             try:
-                scan = cstar_functional(u, v, p, _CSTAR_INNER_FACTOR * radius)
+                scan = cstar_functional(u, v, p, _CSTAR_INNER_FACTOR * radius, state.grad_v)
             except ValueError:
                 scan = None
             if scan is not None:

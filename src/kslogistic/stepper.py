@@ -1,24 +1,39 @@
 """Time integration of u_t = lap(u) - chi div(u grad v) + u (a - b u),
 with v = (I - lap)^(-1) u eliminated at every evaluation.
 
-The update is a two-stage exponential integrator built on the exact
-propagator of the linear part -(1 + |k|^2):
+The update is the third-order exponential Adams-Bashforth scheme
+(ETD-AB3; Cox & Matthews 2002, Hochbruck & Ostermann 2011) built on the
+exact propagator of the linear part -(1 + |k|^2):
 
-    predictor:  u1^ = E u^ + dt phi1 F^(u)
-    corrector:  u+^ = E u^ + dt phi1 (F^(u) + F^(u1)) / 2
+    u+^ = E u^ + dt [(phi1 + 3/2 phi2 + phi3) F_n
+                     - 2 (phi2 + phi3) F_{n-1}
+                     + (phi2 / 2 + phi3) F_{n-2}]
 
-with E = exp(-dt (1 + |k|^2)), phi1(z) = (e^z - 1)/z, and
-F(u) = -chi div(u grad v) + (a + 1) u - b u^2.  The +u hidden in F
-compensates the -u folded into the propagator, so constants follow the
-logistic flow and the scheme is exact on the linear problem.  Quadratic
-products are formed in physical space from 2/3-rule truncated factors
-and truncated again afterwards.
+with z = -dt (1 + |k|^2), E = e^z, phi_k(z) = sum_j z^j / (j + k)!,
+F_n the half-spectrum of F(u_n), and F(u) = -chi div(u grad v) +
+(a + 1) u - b u^2.  The +u hidden in F compensates the -u folded into
+the propagator, so constants follow the logistic flow and the scheme is
+exact on the linear problem.  Quadratic products are formed in physical
+space from 2/3-rule truncated factors and truncated again afterwards.
+
+A step evaluates F once and reuses F_{n-1} and F_{n-2}, which the
+state carries.  A state without them (``initial_state``, a hand-built
+state, or one whose history was made under another plan or another a)
+takes its next steps with the two-stage exponential Heun update until
+it has two:
+
+    predictor:  u1^ = E u^ + dt phi1 F_n
+    corrector:  u+^ = E u^ + dt phi1 (F_n + F^(u1)) / 2
+
+whose first stage forms F_n as well, so the start costs no extra
+evaluation.  Its local error is O(dt^3), so the run stays third order.
 
 Every state carries the half-spectrum of its u from t = 0 on:
 ``initial_state`` makes the forward transform of u0.  A step's last
-inverse transform also makes the factors of the next step's first F(u),
-which the state carries.  A later step makes 4 transform calls, the
-first step from ``initial_state`` 5.
+inverse transform also makes the factors of the next step's F(u), which
+the state carries.  An Adams-Bashforth step makes one batched forward
+and one batched inverse transform, a two-stage step 4 transform calls,
+and the first step from ``initial_state`` one call more.
 
 Runs abort (they never clamp) when a step goes non-finite, dips below
 the negativity budget, or crosses the blow-up threshold.
@@ -29,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,18 +118,21 @@ class StepControl:
 
 class State:
     """Solution snapshot: u, its half-spectrum uh (made from u when not
-    given), and v, the resolvent of u, formed from uh on first read.
+    given), and v and grad v, formed from uh on first read.
+
     ``step`` also leaves _factors, a pair (synth, values) of the next
-    F(u)'s factors, used only by a plan with that very synth.  Its
-    arrays are read-only, so they stay in step with u, and u owns its
-    memory, so a kept u pins no factors."""
+    F(u)'s factors, used only by a plan with that very synth, and
+    _history, a triple (plan, a, past) with past the half-spectra of F
+    at the one or two previous states, newest first, used only by that
+    very plan at that a.  These arrays are read-only, so they stay in
+    step with u, and u owns its memory, so a kept u pins no factors."""
 
     def __init__(self, t: float, u: Field, step_count: int = 0, uh=None):
         if uh is None:
             uh = u.grid.rfft(u.values)
             uh.flags.writeable = False
         self.t, self.u, self.step_count, self._uh = t, u, step_count, uh
-        self._v = self._factors = None
+        self._v = self._grad_v = self._factors = self._history = None
 
     @property
     def v(self) -> Field:
@@ -124,6 +143,17 @@ class State:
             self._v = Field(g, vals)
         return self._v
 
+    @property
+    def grad_v(self) -> tuple[Field, ...]:
+        """Components of grad v, Nyquist modes dropped, in one batched
+        inverse transform of the carried spectrum."""
+        if self._grad_v is None:
+            g = self.u.grid
+            vals = g.irfft(self._uh * g.half.grad_resolvent)
+            vals.flags.writeable = False
+            self._grad_v = tuple(Field(g, c) for c in vals)
+        return self._grad_v
+
 
 def initial_state(u0: Field) -> State:
     """The state at t = 0, on a read-only copy of u0's values."""
@@ -132,36 +162,71 @@ def initial_state(u0: Field) -> State:
     return State(t=0.0, u=Field(u0.grid, vals))
 
 
-@lru_cache(maxsize=8)
-def _plan(grid: Grid, dt: float, b: float, chi: float):
-    """What a step multiplies by, on the half-spectrum, as the tuple
-    (E, dt phi1, dt phi1 / 2, synth, weights).
+def _phis(z: np.ndarray) -> np.ndarray:
+    """phi_1, phi_2, phi_3 of z <= 0, stacked on a leading axis.
 
-    E = exp(-dt (1 + |k|^2)).  synth makes the factors of the products
-    before their inverse transform (u, then grad v if chi != 0);
-    weights takes the products after their forward transform (b on
-    u^2, then chi i k_i on each flux).  Both are 2/3-masked.
+    For |z| < 1 the Taylor series sum_j z^j / (j + k)! runs to z^20,
+    whose term is below float64 rounding there; it dodges the
+    cancellation of the closed forms near 0.  Beyond that, phi_1 =
+    expm1(z) / z and phi_(k+1) = (phi_k - 1/k!) / z, which lose only a
+    few units in the last place at |z| >= 1.
     """
+    phi = np.empty((3,) + z.shape)
+    small = np.abs(z) < 1.0
+    zs, zb = z[small], z[~small]
+    for k in (1, 2, 3):
+        acc = np.zeros_like(zs)
+        for j in range(20, -1, -1):
+            acc = acc * zs + 1.0 / math.factorial(j + k)
+        phi[k - 1][small] = acc
+    closed = np.expm1(zb) / zb
+    phi[0][~small] = closed
+    for k in (1, 2):
+        closed = (closed - 1.0 / math.factorial(k)) / zb
+        phi[k][~small] = closed
+    return phi
+
+
+class _Plan(NamedTuple):
+    """What a step multiplies by, on the half-spectrum.
+
+    E : exp(z), z = -dt (1 + |k|^2)
+    P, half_P : dt phi1(z) and half of it, for the two-stage update
+    ab3 : dt times the weights of F_n, F_(n-1), F_(n-2), stacked
+    synth : makes the factors of the products before their inverse
+        transform (u, then grad v if chi != 0)
+    weights : takes the products after their forward transform (b on
+        u^2, then chi i k_i on each flux)
+
+    synth and weights are 2/3-masked.
+    """
+
+    E: np.ndarray
+    P: np.ndarray
+    half_P: np.ndarray
+    ab3: np.ndarray
+    synth: np.ndarray
+    weights: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _plan(grid: Grid, dt: float, b: float, chi: float) -> _Plan:
+    """The multipliers of a step, built on its first use (not at import)
+    and shared by every step with the same grid, dt, b and chi."""
     hs = grid.half
     z = -dt * (1.0 + hs.k2)
-    E = np.exp(z)
-    phi1 = np.empty_like(z)
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    # series branch dodges the 0/0 cancellation in (e^z - 1)/z
-    phi1[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
-    zb = z[~small]
-    phi1[~small] = np.expm1(zb) / zb
+    phi1, phi2, phi3 = _phis(z)
+    ab3 = np.stack([phi1 + 1.5 * phi2 + phi3, -2.0 * (phi2 + phi3), 0.5 * phi2 + phi3])
     synth = [hs.mask]
     weights = [b * hs.mask]
     if chi != 0.0:
         synth += list(hs.masked_grad_resolvent)
         weights += list(chi * hs.mask * hs.ik)
-    plan = (E, dt * phi1, 0.5 * dt * phi1, np.stack(synth), np.stack(weights))
+    plan = (np.exp(z), dt * phi1, 0.5 * dt * phi1, dt * ab3, np.stack(synth), np.stack(weights))
     # every multiplier meets complex coefficients; made complex once
     # here, they are not cast again on every product, and the products
     # keep their bits
-    plan = tuple(arr.astype(np.complex128) for arr in plan)
+    plan = _Plan(*(arr.astype(np.complex128) for arr in plan))
     for arr in plan:
         arr.flags.writeable = False
     return plan
@@ -198,11 +263,13 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     allocates and owns.  One batched inverse transform ends each step:
     its first row is the new u, whose single min and max decide the
     aborts in order (non-finite, negativity, blow-up); the other rows
-    are the factors of the next step's first evaluation of F.  An abort
+    are the factors of the next step's evaluation of F.  An abort
     raises at the step where it happens, with the same time and message
-    as that many calls with steps=1.  The returned State holds read-only
-    copies of u and its spectrum and the last step's factors, which
-    nothing else refers to.
+    as that many calls with steps=1, and steps=k gives the same bits as
+    k calls.  The returned State holds read-only copies of u and its
+    spectrum, the last step's factors, which nothing else refers to,
+    and the F history, which may share a read-only array with the input
+    state's.
     """
     g = state.u.grid
     if p.dim != g.dim:
@@ -211,7 +278,8 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
         raise ValueError(f"steps must be at least 1, got {steps}")
     if control.negativity_budget is None or control.blowup_threshold is None:
         raise ValueError("step needs resolved budgets: pass control.resolved(u0, params)")
-    E, P, half_P, synth, weights = _plan(g, control.dt, p.b, p.chi)
+    plan = _plan(g, control.dt, p.b, p.chi)
+    E, synth, weights = plan.E, plan.synth, plan.weights
     a1 = p.a + 1.0
     neg, blow = control.negativity_budget, control.blowup_threshold
 
@@ -220,25 +288,37 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     rows = np.empty((len(synth) + 1,) + E.shape, dtype=E.dtype)
     fields = np.empty((len(synth) + 1,) + g.shape)
     prod, prodh = np.empty_like(fields[1:]), np.empty_like(rows[1:])
-    fn, Eu, pred, fp = (np.empty_like(E) for _ in range(4))
+    Eu, pred, fp = (np.empty_like(E) for _ in range(3))
+    # F at step `count` goes to ring[count % 3], never one of the two in past
+    ring = [np.empty_like(E) for _ in range(3)]
     # the input state's arrays are read, never written
     uh, (made_by, phys) = state._uh, state._factors or (None, None)
     if made_by is not synth:
         phys = g.irfft(np.multiply(synth, uh, out=rows[1:]), out=fields[1:])
+    made_by, made_at_a, past = state._history or (None, None, ())
+    if made_by is not plan or made_at_a != p.a:
+        past = ()
 
     t = state.t
     for count in range(state.step_count + 1, state.step_count + steps + 1):
-        _rhs(g, uh, phys, weights, a1, fn, prod, prodh)
+        fn = _rhs(g, uh, phys, weights, a1, ring[count % 3], prod, prodh)
         np.multiply(E, uh, out=Eu)
-        np.multiply(P, fn, out=pred)
-        pred += Eu
-        g.irfft(np.multiply(synth, pred, out=rows[1:]), out=fields[1:])
-        _rhs(g, pred, fields[1:], weights, a1, fp, prod, prodh)
-        fn += fp
-        np.multiply(half_P, fn, out=fn)
+        if len(past) == 2:
+            w_n, w_1, w_2 = plan.ab3
+            Eu += np.multiply(w_n, fn, out=fp)
+            Eu += np.multiply(w_1, past[0], out=fp)
+            np.multiply(w_2, past[1], out=fp)
+        else:
+            np.multiply(plan.P, fn, out=pred)
+            pred += Eu
+            g.irfft(np.multiply(synth, pred, out=rows[1:]), out=fields[1:])
+            _rhs(g, pred, fields[1:], weights, a1, fp, prod, prodh)
+            fp += fn
+            np.multiply(plan.half_P, fp, out=fp)
         # row 0 is the new spectrum itself, not 1 times it, which would
         # turn an infinite coefficient's zero imaginary part into NaN
-        uh = np.add(fn, Eu, out=rows[0])
+        uh = np.add(fp, Eu, out=rows[0])
+        past = (fn,) + past[:1]
         np.multiply(synth, uh, out=rows[1:])
         g.irfft(rows, out=fields)
 
@@ -267,8 +347,11 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
 
     u_new, uh = fields[0].copy(), uh.copy()
     u_new.flags.writeable = uh.flags.writeable = fields.flags.writeable = False
+    for f in past:
+        f.flags.writeable = False
     new = State(t=t, u=Field(g, u_new), step_count=count, uh=uh)
     new._factors = (synth, fields[1:])
+    new._history = (plan, p.a, past)
     return new
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's spectral code paths:
 resolvents and semigroups are evaluated by quadrature against explicit
 kernels, time integration by a plain fourth-order Runge-Kutta loop on
-the semi-discrete system, and the stepper, the noise builder and the
+the semi-discrete system, the phi functions of the exponential scheme
+by matrix exponentials, and the stepper, the noise builder and the
 gradient, divergence and Laplacian are taken in full complex-FFT form,
 on the dense multipliers of ``full_multipliers``.  The report writers
 are kept in their original form too: a pure ``json.dumps`` of the
@@ -20,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from kslogistic.grid import Field
 from kslogistic.stepper import _plan, _rhs
@@ -203,11 +205,11 @@ def nonlinearity(u, p):
     tests that check them against composed operators."""
     g = u.grid
     # dt = 0: F reads only the product stacks of the plan
-    _, _, _, synth, weights = _plan(g, 0.0, p.b, p.chi)
+    plan = _plan(g, 0.0, p.b, p.chi)
     uh = g.rfft(u.values)
-    phys = g.irfft(synth * uh)
-    fh = _rhs(g, uh, phys, weights, p.a + 1.0, np.empty_like(uh), np.empty_like(phys),
-              np.empty(synth.shape, uh.dtype))
+    phys = g.irfft(plan.synth * uh)
+    fh = _rhs(g, uh, phys, plan.weights, p.a + 1.0, np.empty_like(uh), np.empty_like(phys),
+              np.empty(plan.synth.shape, uh.dtype))
     return Field(g, g.irfft(fh))
 
 
@@ -233,21 +235,44 @@ def divergence(w):
     return Field(g, sfft.ifftn(c, norm="forward").real)
 
 
-def full_fft_step(u, grid, p, dt):
-    """One exponential-Heun step on the full complex spectrum, without
-    the abort checks; returns the new u values."""
+def full_fft_phis(z):
+    """phi_1, phi_2, phi_3 at every entry of z, stacked on a leading
+    axis, each read off the first row of the exponential of the
+    augmented matrix [[z, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], 0]:
+    neither the stepper's series nor its closed forms."""
+    values, where = np.unique(z, return_inverse=True)
+    aug = np.diag([1.0, 1.0, 1.0], k=1)
+    rows = []
+    for zz in values:
+        aug[0, 0] = zz
+        rows.append(expm(aug)[0, 1:])
+    return np.stack(rows, axis=-1)[:, where.reshape(z.shape)]
+
+
+def full_fft_run(u, grid, p, dt, nsteps):
+    """nsteps of the stepper's scheme on the full complex spectrum,
+    without the abort checks; returns the last u values.  The first two
+    steps are exponential Heun (predictor E u + dt phi1 F(u), corrector
+    E u + dt phi1 (F(u) + F(pred)) / 2), the rest third-order
+    exponential Adams-Bashforth on the F of the last three states."""
     z = -dt * (1.0 + full_multipliers(grid).k2)
     E = np.exp(z)
-    small = np.abs(z) < 1e-4
-    zs, zb = z[small], z[~small]
-    phi1 = np.empty_like(z)
-    phi1[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
-    phi1[~small] = np.expm1(zb) / zb
-    P = dt * phi1
+    phi1, phi2, phi3 = full_fft_phis(z)
     uh = sfft.fftn(u, norm="forward")
-    fn = full_fft_rhs_hat(uh, grid, p)
-    fp = full_fft_rhs_hat(E * uh + P * fn, grid, p)
-    return sfft.ifftn(E * uh + 0.5 * P * (fn + fp), norm="forward").real
+    past = []
+    for _ in range(nsteps):
+        fn = full_fft_rhs_hat(uh, grid, p)
+        if len(past) < 2:
+            fp = full_fft_rhs_hat(E * uh + dt * phi1 * fn, grid, p)
+            uh = E * uh + 0.5 * dt * phi1 * (fn + fp)
+        else:
+            uh = E * uh + dt * (
+                (phi1 + 1.5 * phi2 + phi3) * fn
+                - 2.0 * (phi2 + phi3) * past[0]
+                + (0.5 * phi2 + phi3) * past[1]
+            )
+        past = [fn] + past[:1]
+    return sfft.ifftn(uh, norm="forward").real
 
 
 def full_fft_band_noise(grid, rng, band):

@@ -20,6 +20,7 @@ from kslogistic.grid import Field, make_grid
 from kslogistic.helmholtz import solve
 from kslogistic.params import Params
 from kslogistic.scenario import DiagnosticsConfig
+from kslogistic.stepper import initial_state
 
 
 def test_lp_norm_on_constant():
@@ -234,6 +235,17 @@ def test_cstar_functional_flags_undefined_points():
     scan = cstar_functional(u, v, p, inner_radius=0.0)
     assert 0.0 < scan.undefined_fraction < 1.0
     assert not scan.all_defined
+
+
+def test_cstar_functional_takes_grad_v_from_the_state():
+    # the carried spectrum's grad v and grad_potential(u) differ only by rounding
+    g, u, v, p = cstar_inputs()
+    s = initial_state(u)
+    got = cstar_functional(s.u, s.v, p, inner_radius=5.0, grad_v=s.grad_v)
+    want = cstar_functional(u, v, p, inner_radius=5.0)
+    assert got.speed_min == pytest.approx(want.speed_min, rel=0, abs=1e-13)
+    assert got.positivity_min == pytest.approx(want.positivity_min, rel=0, abs=1e-13)
+    assert got.n_points == want.n_points
 
 
 def test_cstar_functional_empty_region_rejected():

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,21 +8,23 @@ from numpy.testing import assert_allclose
 from kslogistic.checks import SpreadingLimits
 from kslogistic.grid import Field, NonFiniteFieldError, make_grid
 from kslogistic.harness import run
+from kslogistic.icfactory import realize
 from kslogistic.helmholtz import grad_potential, solve
 from kslogistic.params import Params
 from kslogistic.reference import logistic_exact
-from kslogistic.scenario import scenario_from_dict
+from kslogistic.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 from kslogistic.stepper import (
     BlowupError,
     NegativityError,
     State,
     StepControl,
+    _phis,
     initial_state,
     stability_warnings,
     step,
 )
 
-from oracles import divergence, full_fft_step, nonlinearity, rk4_reaction_diffusion
+from oracles import divergence, full_fft_run, nonlinearity, rk4_reaction_diffusion
 
 
 def gaussian_ic(grid, amp=1.2, width=1.5):
@@ -104,7 +109,7 @@ def test_richardson_order_at_least_two_ish():
     sols = [run_steps(u0, p, dt, round(T / dt)).u.values for dt in (0.02, 0.01, 0.005)]
     e12 = np.max(np.abs(sols[0] - sols[1]))
     e24 = np.max(np.abs(sols[1] - sols[2]))
-    assert np.log2(e12 / e24) >= 1.9
+    assert np.log2(e12 / e24) >= 2.8
 
 
 def test_negativity_budget_aborts_on_ringing():
@@ -229,10 +234,9 @@ def test_matches_full_fft_scheme_over_200_steps(dim, n, chi):
     dt = 0.01
     s = initial_state(u0)
     c = StepControl(dt=dt, t_end=2.0).resolved(u0, p)
-    ref = u0.values
     for _ in range(200):
         s = step(s, p, c)
-        ref = full_fft_step(ref, g, p, dt)
+    ref = full_fft_run(u0.values, g, p, dt, 200)
     amp = float(np.max(np.abs(ref)))
     assert np.max(np.abs(s.u.values - ref)) <= 1e-12 * (1.0 + amp)
 
@@ -302,14 +306,18 @@ def test_non_finite_carried_factors_rejected(bad, row):
 
 
 def test_non_finite_overflow_mid_run_rejected():
-    # unchecked exponential growth overflows on the eighth step; neither
-    # budget can fire on a finite value before that
+    # u stays uniform, so the k = 0 mode follows the scheme's scalar
+    # recursion.  The two starting Heun steps multiply u by about 2290
+    # each; past a/b = 7e11 the -b u^2 term takes over, and each
+    # Adams-Bashforth step about squares |u| times dt b: -5e35 after
+    # step 8, -5e61, -4e113, -3e217 after step 11, whose square overflows
+    # on step 12.  Neither budget can fire on a finite value before that
     g = make_grid(1, 32, 5.0)
     p = Params(chi=0.3, a=700.0, b=1e-9, dim=1)
     big = np.finfo(float).max
     s = initial_state(Field(g, np.ones(32)))
     c = StepControl(dt=0.1, t_end=10.0, negativity_budget=big, blowup_threshold=big)
-    with pytest.raises(NonFiniteFieldError, match="step 8"), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(NonFiniteFieldError, match="step 12"), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
             s = step(s, p, c)
 
@@ -558,3 +566,129 @@ def test_an_abort_in_one_call_matches_single_steps(kind, u_of_x, params, ctrl):
     assert one.t > 1.5 * c.dt  # not on the call's first step
     assert str(one) == str(single)
     assert (one.t, one.value) == (single.t, single.value)
+
+
+# -- the Adams-Bashforth scheme and its two-step start ---------------------
+
+
+def _exact_phis(z):
+    """phi_1, phi_2, phi_3 at z from the exact rational sum of the first
+    terms of phi_1(z) = sum_j z^j / (j + 1)!, each rounded once to float.
+
+    With z = zn / zd exactly, the nested form 1 + z/2 (1 + z/3 (...))
+    is kept as an unreduced integer fraction num / den.  Past j = e |z|
+    the terms shrink geometrically, so 3 |z| + 40 of them leave a
+    remainder far below float64 rounding.  phi_(k+1) = (phi_k - 1/k!) / z
+    holds term by term, so in exact arithmetic it gives the Taylor sums
+    of phi_2 and phi_3, with none of the cancellation it has in floats.
+    """
+    zn, zd = Fraction(z).as_integer_ratio()
+    num, den = 1, 1
+    for m in range(int(3 * abs(z)) + 41, 1, -1):
+        den *= zd * m
+        num = den + zn * num
+    phis = []
+    for k in (1, 2, 3):
+        phis.append(num / den)
+        # (num / den - 1/k!) / (zn / zd)
+        num, den = (num * math.factorial(k) - den) * zd, den * math.factorial(k) * zn
+    return phis
+
+
+_PHI_POINTS = (-1e-8, -0.5, -0.999, -1.0, -1.001, -5.0, -50.0, -1e4)
+
+
+def test_phis_match_exact_taylor_sums():
+    # both sides of the series/closed-form switch at |z| = 1, and far out
+    got = _phis(np.array(_PHI_POINTS))
+    for i, z in enumerate(_PHI_POINTS):
+        for k, want in enumerate(_exact_phis(z), start=1):
+            assert abs(got[k - 1, i] - want) <= 1e-15 * abs(want), (z, k)
+
+
+def _same_history(a, b):
+    (plan_a, a_a, past_a), (plan_b, a_b, past_b) = a._history, b._history
+    assert plan_a is plan_b and a_a == a_b and len(past_a) == len(past_b)
+    assert all(np.array_equal(x, y) for x, y in zip(past_a, past_b))
+    assert not any(f.flags.writeable for f in past_a)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+def test_steps_across_the_start_equal_single_steps(dim, n):
+    # steps 1 and 2 are two-stage, from step 3 on Adams-Bashforth: a call
+    # of k steps from initial_state gives the bits of k calls of one
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
+    c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
+    singles = [initial_state(u0)]
+    for _ in range(5):
+        singles.append(step(singles[-1], p, c))
+    for k in range(1, 6):
+        one = step(initial_state(u0), p, c, steps=k)
+        _same_state(one, singles[k])
+        _same_history(one, singles[k])
+        assert len(one._history[2]) == min(k, 2)
+
+
+@pytest.mark.parametrize("next_dt, next_a, restarts", [(0.02, 1.0, True), (0.01, 1.5, True), (0.01, 1.0, False)])
+def test_a_resumed_state_restarts_with_the_two_stage_update(next_dt, next_a, restarts):
+    # a history of F made under another dt (another plan) or another a
+    # (which the plan is not keyed on) must not be used: the next steps
+    # match, bit for bit, the same state without a history, which starts
+    # with two two-stage steps.  Under its own plan and a it is used.
+    s, c = _stepped(0.5)
+    p = Params(chi=0.5, a=next_a, b=1.0, dim=1)
+    c = StepControl(dt=next_dt, t_end=c.t_end).resolved(s.u, p)
+    bare = State(t=s.t, u=s.u, step_count=s.step_count, uh=s._uh)
+    for _ in range(4):
+        s, bare = step(s, p, c), step(bare, p, c)
+        assert np.array_equal(s._uh, bare._uh) == restarts
+
+
+@pytest.mark.parametrize("dim, n, chi, expect", [(1, 128, 0.0, 3), (1, 128, 0.5, 5), (2, 32, 0.5, 7), (3, 16, 0.5, 9)])
+def test_transforms_per_adams_bashforth_step(monkeypatch, dim, n, chi, expect):
+    # one batched forward transform of the products (u^2, then u dv/dx_i
+    # when chi != 0) and one batched inverse of the new u and its factors
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=chi, a=1.0, b=1.0, dim=dim)
+    c = StepControl(dt=0.01, t_end=1.0).resolved(u0, p)
+    s = step(initial_state(u0), p, c, steps=2)
+    calls = _count_transforms(monkeypatch)
+    step(s, p, c)
+    assert len(calls) == 2
+    assert sum(k for _, k in calls) == expect
+
+
+def test_time_error_at_mass_growth_dt_is_a_tenth_of_the_two_stage_schemes():
+    # the two-stage scheme is what a state without a history takes, so
+    # dropping the history before every step runs it alone.  The
+    # reference is the third-order scheme at dt/8, whose own error is
+    # about 1/512 of its error at dt, far below both errors compared.
+    sc = load_scenario(bundled_scenario_path("mass_growth_1d"))
+    p, dt, T = sc.params, sc.control.dt, sc.control.t_end
+    u0 = realize(sc.ic, sc.grid, guard=sc.diagnostics.guard)
+    c = StepControl(dt=dt, t_end=T).resolved(u0, p)
+    fine = StepControl(dt=dt / 8, t_end=T).resolved(u0, p)
+    ref = step(initial_state(u0), p, fine, steps=8 * round(T / dt)).u.values
+    ab3 = step(initial_state(u0), p, c, steps=round(T / dt)).u.values
+    s = initial_state(u0)
+    for _ in range(round(T / dt)):
+        s._history = None
+        s = step(s, p, c)
+    err_ab3 = np.max(np.abs(ab3 - ref))
+    err_two_stage = np.max(np.abs(s.u.values - ref))
+    assert err_ab3 <= 0.1 * err_two_stage
+
+
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+def test_grad_v_is_formed_from_the_carried_spectrum(monkeypatch, dim, n):
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
+    s = step(initial_state(u0), p, StepControl(dt=0.01, t_end=1.0).resolved(u0, p), steps=3)
+    calls = _count_transforms(monkeypatch)
+    gv = s.grad_v
+    assert s.grad_v is gv
+    assert calls == [("irfft" if dim == 1 else "irfftn", dim)]
+    for got, want in zip(gv, grad_potential(s.u)):
+        assert not got.values.flags.writeable
+        assert np.max(np.abs(got.values - want.values)) <= 1e-14
