@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import Field, Grid
-from .helmholtz import grad_potential
 from .params import Params
 
 __all__ = [
@@ -200,19 +199,17 @@ def estimate_speed(times, radii, valid, window: Optional[tuple] = None) -> Speed
 
 
 def cstar_functional(
-    u: Field, v: Field, p: Params, inner_radius: float, grad_v: tuple[Field, ...] | None = None
+    u: Field, v: Field, p: Params, inner_radius: float, grad_v: tuple[Field, ...]
 ) -> CstarScan:
     """Scan the spreading-speed functionals over |x| >= inner_radius.
 
     grad_v holds the components of grad v, as ``State.grad_v`` makes
-    them from the carried spectrum; when None they are computed from u
-    by ``grad_potential``."""
+    them from the carried spectrum."""
     region = u.grid.radius >= inner_radius
     n = int(region.sum())
     if n == 0:
         raise ValueError(f"no grid points with |x| >= {inner_radius}")
-    gv = grad_potential(u) if grad_v is None else grad_v
-    grad_mag2 = sum(c.values**2 for c in gv)[region]
+    grad_mag2 = sum(c.values**2 for c in grad_v)[region]
     head = (p.a - p.chi * v.values[region])
     positivity = 4.0 * head - p.chi**2 * grad_mag2
     defined = head >= 0.0

@@ -18,7 +18,8 @@ space from 2/3-rule truncated factors and truncated again afterwards.
 
 A step evaluates F once and reuses F_{n-1} and F_{n-2}, which the
 state carries.  A state without them (``initial_state``, a hand-built
-state, or one whose history was made under another plan or another a)
+state, or one whose history was made under another grid, dt, b, chi or
+a)
 takes its next steps with the two-stage exponential Heun update until
 it has two:
 
@@ -122,10 +123,11 @@ class State:
 
     ``step`` also leaves _factors, a pair (synth, values) of the next
     F(u)'s factors, used only by a plan with that very synth, and
-    _history, a triple (plan, a, past) with past the half-spectra of F
-    at the one or two previous states, newest first, used only by that
-    very plan at that a.  These arrays are read-only, so they stay in
-    step with u, and u owns its memory, so a kept u pins no factors."""
+    _history, a pair (key, past) with past the half-spectra of F at the
+    one or two previous states, newest first, used only by a step whose
+    (grid, dt, b, chi, a) equals key.  These arrays are read-only, so
+    they stay in step with u, and u owns its memory, so a kept u pins no
+    factors."""
 
     def __init__(self, t: float, u: Field, step_count: int = 0, uh=None):
         if uh is None:
@@ -279,6 +281,9 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     if control.negativity_budget is None or control.blowup_threshold is None:
         raise ValueError("step needs resolved budgets: pass control.resolved(u0, params)")
     plan = _plan(g, control.dt, p.b, p.chi)
+    # compared by value: a plan rebuilt after leaving _plan's cache has
+    # the same bits, so the history stays valid under it
+    key = (g, control.dt, p.b, p.chi, p.a)
     E, synth, weights = plan.E, plan.synth, plan.weights
     a1 = p.a + 1.0
     neg, blow = control.negativity_budget, control.blowup_threshold
@@ -295,8 +300,8 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     uh, (made_by, phys) = state._uh, state._factors or (None, None)
     if made_by is not synth:
         phys = g.irfft(np.multiply(synth, uh, out=rows[1:]), out=fields[1:])
-    made_by, made_at_a, past = state._history or (None, None, ())
-    if made_by is not plan or made_at_a != p.a:
+    made_under, past = state._history or (None, ())
+    if made_under != key:
         past = ()
 
     t = state.t
@@ -351,7 +356,7 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
         f.flags.writeable = False
     new = State(t=t, u=Field(g, u_new), step_count=count, uh=uh)
     new._factors = (synth, fields[1:])
-    new._history = (plan, p.a, past)
+    new._history = (key, past)
     return new
 
 

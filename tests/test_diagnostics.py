@@ -17,7 +17,7 @@ from kslogistic.diagnostics import (
     sandwich_check,
 )
 from kslogistic.grid import Field, make_grid
-from kslogistic.helmholtz import solve
+from kslogistic.helmholtz import grad_potential, solve
 from kslogistic.params import Params
 from kslogistic.scenario import DiagnosticsConfig
 from kslogistic.stepper import initial_state
@@ -212,7 +212,7 @@ def cstar_inputs(chi=0.3, level=1.0):
 
 def test_cstar_functional_positive_far_field():
     g, u, v, p = cstar_inputs()
-    scan = cstar_functional(u, v, p, inner_radius=10.0)
+    scan = cstar_functional(u, v, p, inner_radius=10.0, grad_v=grad_potential(u))
     assert scan.all_defined
     assert scan.speed_min > 0
     assert scan.positivity_min > 0
@@ -223,8 +223,9 @@ def test_cstar_functional_positive_far_field():
 def test_cstar_functional_monotone_in_v():
     # raising v pointwise with grad v fixed can only lower both minima
     g, u, v, p = cstar_inputs()
-    base = cstar_functional(u, v, p, inner_radius=5.0)
-    lifted = cstar_functional(u, Field(g, v.values + 0.4), p, inner_radius=5.0)
+    gv = grad_potential(u)
+    base = cstar_functional(u, v, p, inner_radius=5.0, grad_v=gv)
+    lifted = cstar_functional(u, Field(g, v.values + 0.4), p, inner_radius=5.0, grad_v=gv)
     assert lifted.speed_min <= base.speed_min + 1e-12
     assert lifted.positivity_min <= base.positivity_min + 1e-12
 
@@ -232,7 +233,7 @@ def test_cstar_functional_monotone_in_v():
 def test_cstar_functional_flags_undefined_points():
     g, u, v, p = cstar_inputs(chi=1.0, level=4.0)
     # a - chi v < 0 near the bump: include it in the region
-    scan = cstar_functional(u, v, p, inner_radius=0.0)
+    scan = cstar_functional(u, v, p, inner_radius=0.0, grad_v=grad_potential(u))
     assert 0.0 < scan.undefined_fraction < 1.0
     assert not scan.all_defined
 
@@ -242,7 +243,7 @@ def test_cstar_functional_takes_grad_v_from_the_state():
     g, u, v, p = cstar_inputs()
     s = initial_state(u)
     got = cstar_functional(s.u, s.v, p, inner_radius=5.0, grad_v=s.grad_v)
-    want = cstar_functional(u, v, p, inner_radius=5.0)
+    want = cstar_functional(u, v, p, inner_radius=5.0, grad_v=grad_potential(u))
     assert got.speed_min == pytest.approx(want.speed_min, rel=0, abs=1e-13)
     assert got.positivity_min == pytest.approx(want.positivity_min, rel=0, abs=1e-13)
     assert got.n_points == want.n_points
@@ -251,7 +252,7 @@ def test_cstar_functional_takes_grad_v_from_the_state():
 def test_cstar_functional_empty_region_rejected():
     g, u, v, p = cstar_inputs()
     with pytest.raises(ValueError):
-        cstar_functional(u, v, p, inner_radius=100.0)
+        cstar_functional(u, v, p, inner_radius=100.0, grad_v=grad_potential(u))
 
 
 def test_equilibrium_distance_on_uniform_state():
