@@ -28,8 +28,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .checks import CHECKS
 from .diagnostics import cstar_functional, equilibrium_distance, estimate_speed
-from .grid import Field, make_grid, usable_cpus
-from .harness import Report, _pool_size, run, run_many
+from .grid import Field, make_grid
+from .harness import Report, _pool_size, run, run_many, usable_cpus
 from .helmholtz import grad_potential, solve
 from .icfactory import band_limited_noise
 from .params import Params

@@ -19,16 +19,10 @@ Conventions used by every module in this package:
   dropped before and after quadratic products.
 * ``to_spectral`` exports the full complex spectrum for inspection
   only; nothing here consumes that layout.
-* A batch of two or more fields of at least 128^2 points each may be
-  split across a helper thread (``_split``).  pocketfft transforms each
-  row alone with the same plan, so the bits equal those of one call.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,54 +47,6 @@ DIMS = (1, 2, 3)
 def check_dim(dim: int) -> None:
     if dim not in DIMS:
         raise ValueError(f"dim must be one of {', '.join(map(str, DIMS))}, got {dim}")
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-_SPLIT_POINTS = 128**2  # points per field from which a batch splits: the measured crossover
-#: held while a split runs, so a half never splits again
-_splitting = threading.Lock()
-_helper = [None, None]  # the pid that started the helper thread, its job queue
-
-
-def serial_transforms() -> None:
-    """Split no transform in this process from now on."""
-    _splitting.acquire(blocking=False)
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    for transform, a, out, reply in iter(jobs.get, None):
-        try:
-            transform(a, out)
-            reply.put(None)
-        except BaseException as e:  # raised again in the caller
-            reply.put(e)
-
-
-def _split(transform, a: np.ndarray, out: np.ndarray) -> bool:
-    """transform(a, out), the helper thread doing the first len(a)//2 rows, which the caller
-    waits for before it returns or raises; or False, doing nothing, where no split may run."""
-    if usable_cpus() < 2 or not _splitting.acquire(blocking=False):
-        return False
-    try:
-        if _helper[0] != os.getpid():  # a forked child starts its own
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), name="kslogistic-fft", daemon=True).start()
-            _helper[:] = os.getpid(), jobs
-        h, reply = len(a) // 2, queue.SimpleQueue()  # per call: a stale reply answers no later call
-        _helper[1].put((transform, a[:h], out[:h], reply))
-        try:
-            transform(a[h:], out[h:])
-        finally:
-            err = reply.get()
-        if err is not None:
-            raise err
-    finally:
-        _splitting.release()
-    return True
 
 
 class NonFiniteFieldError(ValueError):
@@ -221,12 +167,7 @@ class Grid:
         batch), divided by n**dim so the k = 0 coefficient is the mean.
         With out, the coefficients are written there and out is returned.
         In 1-D this is rfft, which costs less per call than rfftn over
-        one axis and gives the same bits.  A big batch may be split."""
-        if self.n**self.dim >= _SPLIT_POINTS and values.ndim > self.dim and len(values) > 1:
-            if out is None:
-                out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), np.result_type(values.dtype, 1j))
-            if _split(self.rfft, values, out):
-                return out
+        one axis and gives the same bits."""
         if self.dim == 1:
             return np.fft.rfft(values, norm="forward", out=out)
         return np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)), norm="forward", out=out)
@@ -236,11 +177,6 @@ class Grid:
         into out when given.  The length n is passed explicitly, so an
         odd length is never inferred from the n/2 + 1 coefficients.
         Beyond 1-D this is irfftn: numpy's irfft2 does not pass out on."""
-        if self.n**self.dim >= _SPLIT_POINTS and coef.ndim > self.dim and len(coef) > 1:
-            if out is None:
-                out = np.empty(coef.shape[: -self.dim] + self.shape, np.result_type(coef.real.dtype, 1.0))
-            if _split(self.irfft, coef, out):
-                return out
         if self.dim == 1:
             return np.fft.irfft(coef, self.n, norm="forward", out=out)
         return np.fft.irfftn(coef, self.shape, axes=tuple(range(-self.dim, 0)), norm="forward", out=out)

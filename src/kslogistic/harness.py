@@ -38,7 +38,6 @@ from .diagnostics import (
     front_radius,
     lp_norm,
 )
-from .grid import serial_transforms
 from .icfactory import realize
 from .reference import RegimeReport, classify, cstar_lower_bound_formula
 from .scenario import Scenario, ScenarioError, front_level_of, timing, with_value
@@ -443,6 +442,11 @@ def _sweep_one(scenario: Scenario) -> dict:
     return row
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _pool_size(n_scenarios: int, workers: int) -> int:
     """The workers run_many forks for n_scenarios, or 0 where it runs them in process."""
     size = min(workers, n_scenarios)
@@ -455,9 +459,9 @@ def run_many(scenarios, workers: int, fn):
     fn(scenario) or raises what fn raised.
 
     Where _pool_size() is not 0, the calls read a pool of that many
-    workers forked for the block, which split no transform as they fill
-    the CPUs, the longest runs (steps x n^dim) submitted first; the
-    block's exit cancels what has not started and waits for the rest.
+    workers forked for the block, the longest runs (steps x n^dim)
+    submitted first; the block's exit cancels what has not started and
+    waits for the rest.
     Otherwise each call runs fn in process when it is made.
     """
     size = _pool_size(len(scenarios), workers)
@@ -465,8 +469,7 @@ def run_many(scenarios, workers: int, fn):
         yield [partial(fn, sc) for sc in scenarios]
         return
     costs = [round(sc.control.t_end / sc.control.dt) * sc.grid.n**sc.grid.dim for sc in scenarios]
-    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
-                               initializer=serial_transforms)
+    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
     try:
         order = sorted(range(len(scenarios)), key=costs.__getitem__, reverse=True)
         futures = {i: pool.submit(fn, scenarios[i]) for i in order}

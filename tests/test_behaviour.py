@@ -14,10 +14,11 @@ the speed fit must match within ``floor + REL * |expected|``.  The
 floor is ``ABS``, a rounding-level 1e-12, except for the margins that
 read the vacuum ahead of a front, which get ``VACUUM_ABS``: the vacuum
 amplifies float64 rounding like e^(a t), so by t = 19 the guard band,
-the exterior of spreading_limits, and min u and min v of fisher_1d and
-spreading_1d (which the sandwich compares) carry it at 1e-8 to 1e-6,
-and any reordering of floating-point work moves those margins by as
-much.
+the exterior of spreading_limits, min u and min v of fisher_1d and
+spreading_1d (which the sandwich compares), and v where spreading_1d's
+cstar_positive scans (|x| >= 1.5 x the front radius) carry it at 1e-8
+to 1e-6, and any reordering of floating-point work moves those margins
+by as much.
 """
 
 import json
@@ -38,6 +39,7 @@ VACUUM = {
     (None, "spreading_limits"),
     ("fisher_1d", "sandwich"),
     ("spreading_1d", "sandwich"),
+    ("spreading_1d", "cstar_positive"),
 }
 
 

@@ -1,17 +1,9 @@
-import multiprocessing
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from kslogistic import grid
 from kslogistic.grid import Field, NonFiniteFieldError, make_grid, to_spectral
-
-from kslogistic.harness import run_many
-from kslogistic.scenario import bundled_scenario_path, load_scenario
 from kslogistic.semigroup import apply_T_div
 
 from oracles import divergence, full_multipliers, gradient, laplacian, scipy_irfft, scipy_rfft
@@ -236,167 +228,3 @@ def test_divergence_rejects_component_mismatch():
     with pytest.raises(ValueError, match="different grids"):
         apply_T_div(0.1, [f, Field(make_grid(2, 16, 2.0), f.values)])
 
-
-# -- batches split across the helper thread ---------------------------------
-
-HELPER = "kslogistic-fft"
-
-
-def _numpy_pair(g):
-    """The numpy.fft forward and inverse that Grid.rfft/irfft call,
-    and their arguments beyond the array."""
-    if g.dim == 1:
-        return "rfft", "irfft", {}, {"n": g.n}
-    axes = tuple(range(-g.dim, 0))
-    return "rfftn", "irfftn", {"axes": axes}, {"s": g.shape, "axes": axes}
-
-
-def _record(monkeypatch, name):
-    """Replace numpy.fft.<name> by a wrapper that records, per call, the
-    thread it ran in and its row count."""
-    calls, real = [], getattr(np.fft, name)
-
-    def recording(a, *args, **kwargs):
-        calls.append((threading.current_thread().name, len(a)))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, name, recording)
-    return calls
-
-
-@pytest.mark.parametrize("dim, n, rows", [(2, 128, 3), (2, 128, 4), (3, 32, 2), (1, 16384, 2)])
-def test_split_transforms_give_the_bits_of_one_numpy_call(monkeypatch, dim, n, rows):
-    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
-    g = make_grid(dim, n, 3.0)
-    fwd, inv, fkw, ikw = _numpy_pair(g)
-    x = np.random.default_rng(11).standard_normal((rows,) + g.shape)
-    c = getattr(np.fft, fwd)(x, norm="forward", **fkw)
-    back = getattr(np.fft, inv)(c, norm="forward", **ikw)
-    fcalls, icalls = _record(monkeypatch, fwd), _record(monkeypatch, inv)
-    cout, xout = np.full_like(c, np.nan), np.full_like(x, np.nan)
-    assert g.rfft(x, out=cout) is cout and g.irfft(c, out=xout) is xout
-    for got, want in [(g.rfft(x), c), (cout, c), (g.irfft(c), back), (xout, back)]:
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    # every call split: the helper's rows/2, then the caller's rest
-    for calls in (fcalls, icalls):
-        assert sorted(calls) == sorted([(HELPER, rows // 2), ("MainThread", rows - rows // 2)] * 2)
-
-
-def test_an_error_in_the_helper_raises_in_the_caller_and_the_next_split_is_exact(monkeypatch):
-    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
-    g = make_grid(2, 128, 3.0)
-    x = np.random.default_rng(5).standard_normal((3,) + g.shape)
-    want = np.fft.rfftn(x, axes=(-2, -1), norm="forward")
-    real = np.fft.rfftn
-
-    def failing_in_helper(a, *args, **kwargs):
-        if threading.current_thread().name == HELPER:
-            raise FloatingPointError("helper half failed")
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfftn", failing_in_helper)
-    with pytest.raises(FloatingPointError, match="helper half failed"):
-        g.rfft(x)
-    monkeypatch.setattr(np.fft, "rfftn", real)
-    calls = _record(monkeypatch, "rfftn")
-    assert np.array_equal(g.rfft(x), want)
-    assert {name for name, _ in calls} == {HELPER, "MainThread"}
-
-
-def test_one_usable_cpu_splits_nothing(monkeypatch):
-    monkeypatch.setattr(grid, "usable_cpus", lambda: 1)
-    g = make_grid(2, 128, 3.0)
-    x = np.random.default_rng(5).standard_normal((3,) + g.shape)
-    want = np.fft.rfftn(x, axes=(-2, -1), norm="forward")
-    before = set(threading.enumerate())
-    calls = _record(monkeypatch, "rfftn")
-    assert np.array_equal(g.rfft(x), want)
-    assert calls == [("MainThread", 3)]
-    assert set(threading.enumerate()) <= before
-
-
-def test_small_batches_stay_in_the_caller(monkeypatch):
-    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
-    calls = _record(monkeypatch, "rfftn")
-    g = make_grid(2, 96, 3.0)
-    g.rfft(np.ones((3,) + g.shape))
-    g.rfft(np.ones(make_grid(2, 128, 3.0).shape))
-    make_grid(2, 128, 3.0).rfft(np.ones((1, 128, 128)))
-    assert [name for name, _ in calls] == ["MainThread"] * 3
-
-
-def _split_in_worker(_scenario):
-    g = make_grid(2, 128, 3.0)
-    x = np.random.default_rng(9).standard_normal((3,) + g.shape)
-    return g.rfft(x), [t.name for t in threading.enumerate()]
-
-
-def _split_and_send(conn):
-    conn.send(_split_in_worker(None))
-    conn.close()
-
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
-)
-
-
-@needs_fork
-def test_run_many_workers_split_nothing(monkeypatch):
-    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
-    want, _ = _split_in_worker(None)  # the parent may split and has a helper
-    sc = load_scenario(bundled_scenario_path("twod_smoke"))
-    with run_many([sc, sc], 2, _split_in_worker) as calls:
-        results = [call() for call in calls]
-    for bits, threads in results:
-        assert np.array_equal(bits, want)
-        assert HELPER not in threads
-
-
-@needs_fork
-def test_a_forked_child_starts_its_own_helper(monkeypatch):
-    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
-    want, threads = _split_in_worker(None)
-    assert HELPER in threads
-    ctx = multiprocessing.get_context("fork")
-    parent_end, child_end = ctx.Pipe()
-    child = ctx.Process(target=_split_and_send, args=(child_end,))
-    child.start()
-    try:
-        # a child that queued work for the parent's helper would wait forever
-        assert parent_end.poll(60), "the forked child's split never returned"
-        bits, threads = parent_end.recv()
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-    assert not child.is_alive()
-    assert np.array_equal(bits, want) and HELPER in threads
-
-
-def test_concurrent_callers_all_get_exact_bits(monkeypatch):
-    """More caller threads than CPUs, switching often: one split runs at
-    a time, the others transform in their own thread."""
-    monkeypatch.setattr(grid, "usable_cpus", lambda: 2)
-    g = make_grid(2, 128, 3.0)
-    xs = [np.random.default_rng(s).standard_normal((2,) + g.shape) for s in range(4)]
-    wants = [np.fft.rfftn(x, axes=(-2, -1), norm="forward") for x in xs]
-    bad = []
-
-    def caller(x, want):
-        for _ in range(20):
-            if not np.array_equal(g.rfft(x), want):
-                bad.append(1)
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=caller, args=pair) for pair in zip(xs, wants)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
-    assert bad == []

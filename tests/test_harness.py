@@ -39,7 +39,6 @@ from kslogistic.scenario import (
 from kslogistic.stepper import StepControl
 
 THREED_SMOKE = Path(__file__).parent / "data" / "threed_smoke.yaml"
-SPLIT_SMOKE = Path(__file__).parent / "data" / "split_smoke.yaml"
 # every scenario file in the repo: the bundled ones, the test data and
 # the benchmark's own, read here and never edited
 SCENARIO_FILES = (
@@ -590,22 +589,6 @@ class TestOutputs:
             assert table.shape == (n**dim, dim + 2)
             assert np.array_equal(table[:, dim], np.ravel(snap["u"]))
             assert np.array_equal(table[:, dim + 1], np.ravel(snap["v"]))
-
-    def test_split_and_serial_transforms_write_the_same_bytes(self, tmp_path, monkeypatch):
-        """A 128^2 run splits its batched transforms across the helper
-        thread where two CPUs are usable; with one it splits nothing."""
-        sc = load_scenario(SPLIT_SMOKE)
-        trees = []
-        for cpus in (2, 1):
-            monkeypatch.setattr(grid, "usable_cpus", lambda cpus=cpus: cpus)
-            rep, paths = run_experiment(sc, outdir=tmp_path / str(cpus))
-            assert rep.ok
-            tree = {p.relative_to(paths["dir"]): p.read_bytes()
-                    for p in paths["dir"].rglob("*") if p.is_file()}
-            report = tree[Path("report.json")].splitlines(keepends=True)
-            tree[Path("report.json")] = b"".join(line for line in report if b'"wall_time"' not in line)
-            trees.append(tree)
-        assert len(trees[0]) == 15 and trees[0] == trees[1]
 
     def test_three_dimensional_run_writes_every_point(self, tmp_path):
         sc = load_scenario(THREED_SMOKE)
