@@ -41,7 +41,10 @@ from .diagnostics import (
 from .icfactory import realize
 from .reference import RegimeReport, classify, cstar_lower_bound_formula
 from .scenario import Scenario, ScenarioError, front_level_of, timing, with_value
-from .stepper import StepperError, initial_state, stability_warnings, step
+from .stepper import SampleStepper, StepperError, initial_state, stability_warnings
+# run steps through SampleStepper; step stays bound here for callers
+# that look the kernel up in this module, as the benchmark's tracer does
+from .stepper import step  # noqa: F401
 
 __all__ = [
     "HarnessError",
@@ -209,9 +212,10 @@ def run(scenario: Scenario) -> Report:
     t0_wall = time.perf_counter()
     g, p, diag = scenario.grid, scenario.params, scenario.diagnostics
     level = front_level_of(scenario)
-    per, nsamp = timing(scenario)
+    nsamp = timing(scenario)[1]
     u0 = realize(scenario.ic, g, guard=diag.guard)
     control = scenario.control.resolved(u0, p)
+    advance = SampleStepper(p, control, diag.sample_interval)
     state = initial_state(u0)
     rep = Report(scenario, classify(p), series={name: [] for name in CSV_COLUMNS[1:]})
     checks = [unit(scenario.checks[name]) for name, unit in CHECKS.items() if name in scenario.checks]
@@ -223,7 +227,7 @@ def run(scenario: Scenario) -> Report:
     for i in range(nsamp + 1):
         if i > 0:
             try:
-                state = step(state, p, control, steps=per)
+                state = advance(state, rep.events)
             except StepperError as e:
                 rep.abort = {"kind": type(e).__name__, "t": e.t, "value": e.value, "message": str(e)}
                 rep.events.append({"t": e.t, "kind": "abort", "message": str(e)})

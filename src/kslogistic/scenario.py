@@ -34,7 +34,7 @@ from .diagnostics import check_guard
 from .grid import Grid
 from .icfactory import ICSpec, check_placement
 from .params import Params
-from .stepper import StepControl
+from .stepper import StepControl, start_rung
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -100,6 +100,11 @@ class Scenario:
                 f"and no '/', '\\' or NUL; got {name!r}"
             )
         timing(self)
+        if self.control.time_tol is not None:
+            try:
+                start_rung(self.control, self.diagnostics.sample_interval)
+            except ValueError as e:
+                raise ScenarioError(f"control: {e}") from None
         try:  # the rule realize enforces across grid, ic and diagnostics
             check_placement(self.ic, self.grid, self.diagnostics.guard)
         except ValueError as e:

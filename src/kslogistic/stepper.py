@@ -38,12 +38,24 @@ and the first step from ``initial_state`` one call more.
 
 Runs abort (they never clamp) when a step goes non-finite, dips below
 the negativity budget, or crosses the blow-up threshold.
+
+With control.time_tol set, an Adams-Bashforth step also measures its
+local time error for free: the update minus the ETD-AB2 update from
+the same history,
+
+    AB3 - AB2 = dt (phi2 / 2 + phi3) (F_n - 2 F_{n-1} + F_{n-2}),
+
+is the plan's weight of F_{n-2} times a second difference of the
+history, so it costs no evaluation and no transform.  Twice the l1 norm
+of its half-spectrum bounds its sup norm; that bound is the estimate.
+``SampleStepper`` steps a run from one sample to the next and, under
+time_tol, picks each sample interval's dt from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -59,6 +71,9 @@ __all__ = [
     "StepperError",
     "NegativityError",
     "BlowupError",
+    "SampleStepper",
+    "MAX_RUNG",
+    "start_rung",
     "initial_state",
     "step",
     "stability_warnings",
@@ -84,23 +99,28 @@ class BlowupError(StepperError):
 
 @dataclass(frozen=True)
 class StepControl:
-    """Fixed-step controls.  None budgets are resolved from u0 at run start:
+    """Step controls.  None budgets are resolved from u0 at run start:
 
     negativity_budget -> 1e-10 * (1 + ||u0||_inf)
     blowup_threshold  -> 1e4 * max(1, ||u0||_inf, a/b)
+
+    time_tol None steps at the fixed dt.  A time_tol makes dt the
+    largest step a run starts with, and ``SampleStepper`` bounds the
+    time error estimate of every Adams-Bashforth step by time_tol.
     """
 
     dt: float
     t_end: float
     negativity_budget: float | None = None
     blowup_threshold: float | None = None
+    time_tol: float | None = None
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        for name in ("negativity_budget", "blowup_threshold"):
+        for name in ("negativity_budget", "blowup_threshold", "time_tol"):
             val = getattr(self, name)
             if val is not None and not (np.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be positive when given, got {val}")
@@ -114,7 +134,7 @@ class StepControl:
             neg = 1e-10 * (1.0 + amp)
         if blow is None:
             blow = 1e4 * max(1.0, amp, p.a / p.b)
-        return StepControl(self.dt, self.t_end, neg, blow)
+        return replace(self, negativity_budget=neg, blowup_threshold=blow)
 
 
 class State:
@@ -127,7 +147,11 @@ class State:
     one or two previous states, newest first, used only by a step whose
     (grid, dt, b, chi, a) equals key.  These arrays are read-only, so
     they stay in step with u, and u owns its memory, so a kept u pins no
-    factors."""
+    factors.
+
+    time_error is the largest local time error estimate over the
+    Adams-Bashforth steps of the ``step`` call that made the state,
+    under a control with time_tol; otherwise None."""
 
     def __init__(self, t: float, u: Field, step_count: int = 0, uh=None):
         if uh is None:
@@ -135,6 +159,7 @@ class State:
             uh.flags.writeable = False
         self.t, self.u, self.step_count, self._uh = t, u, step_count, uh
         self._v = self._grad_v = self._factors = self._history = None
+        self.time_error = None
 
     @property
     def v(self) -> Field:
@@ -271,7 +296,9 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     k calls.  The returned State holds read-only copies of u and its
     spectrum, the last step's factors, which nothing else refers to,
     and the F history, which may share a read-only array with the input
-    state's.
+    state's.  Under a control with time_tol, the returned state's
+    time_error is the largest estimate over the call's Adams-Bashforth
+    steps (None if it made none).
     """
     g = state.u.grid
     if p.dim != g.dim:
@@ -287,6 +314,7 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     E, synth, weights = plan.E, plan.synth, plan.weights
     a1 = p.a + 1.0
     neg, blow = control.negativity_budget, control.blowup_threshold
+    gauged, time_error = control.time_tol is not None, None
 
     # the new u and the next factors, as rows in both layouts; row 0 of
     # rows is the uh a step starts from and, at its end, the new one
@@ -310,6 +338,15 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
         np.multiply(E, uh, out=Eu)
         if len(past) == 2:
             w_n, w_1, w_2 = plan.ab3
+            if gauged:
+                # AB3 - AB2 = w_2 (F_n - 2 F_(n-1) + F_(n-2)), in pred,
+                # which this update does not use
+                np.subtract(fn, past[0], out=pred)
+                pred -= past[0]
+                pred += past[1]
+                pred *= w_2
+                est = 2.0 * float(np.abs(pred).sum())
+                time_error = est if time_error is None else max(time_error, est)
             Eu += np.multiply(w_n, fn, out=fp)
             Eu += np.multiply(w_1, past[0], out=fp)
             np.multiply(w_2, past[1], out=fp)
@@ -357,12 +394,93 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     new = State(t=t, u=Field(g, u_new), step_count=count, uh=uh)
     new._factors = (synth, fields[1:])
     new._history = (key, past)
+    new.time_error = time_error
     return new
+
+
+#: the finest step a time_tol run takes is its sample interval / 2^MAX_RUNG
+MAX_RUNG = 12
+
+
+def start_rung(control: StepControl, interval: float) -> int:
+    """The rung k a time_tol run starts on: the smallest k >= 2 with
+    interval / 2^k <= control.dt.  A ValueError if it is past MAX_RUNG."""
+    k = 2
+    while interval / 2**k > control.dt:
+        k += 1
+    if k > MAX_RUNG:
+        raise ValueError(
+            f"under time_tol, sample_interval / dt ({interval / control.dt:.6g}) "
+            f"must be at most 2^{MAX_RUNG}"
+        )
+    return k
+
+
+class SampleStepper:
+    """Steps a run from one sample to the next, one call per sample
+    interval S.
+
+    Without control.time_tol, a call is step(..., steps=S/dt).  With it,
+    a call steps S at dt = S/2^k on a ladder of rungs k:
+
+    - the first interval takes ``start_rung``;
+    - an interval is accepted when its state's time_error is at most
+      time_tol, and otherwise redone from its start state at k + 1;
+    - k falls by one after an interval whose time_error is below
+      time_tol/16, since the estimate scales like dt^4, but never
+      below 2: every interval then ends on Adams-Bashforth steps whose
+      history was made at its own dt;
+    - an abort in an attempt propagates and is never retried, and an
+      interval rejected at MAX_RUNG aborts the run with a StepperError.
+
+    A change of dt restarts the F history through its key, with two
+    two-stage steps.  Each rejected interval and each dt change is
+    appended to the events list a call is given, with its t, dt and
+    estimate.
+    """
+
+    def __init__(self, p: Params, control: StepControl, interval: float):
+        self.p, self.control, self.interval = p, control, interval
+        if control.time_tol is not None:
+            self.rung = start_rung(control, interval)
+
+    def __call__(self, state: State, events: list) -> State:
+        control, tol = self.control, self.control.time_tol
+        if tol is None:
+            return step(state, self.p, control, steps=round(self.interval / control.dt))
+        while True:
+            dt = self.interval / 2**self.rung
+            new = step(state, self.p, replace(control, dt=dt), steps=2**self.rung)
+            est = new.time_error
+            if est <= tol:
+                break
+            events.append(_dt_event(state.t, "interval_rejected", dt, est,
+                                    f"time error estimate {est:.3e} above time_tol {tol:.3e} at dt={dt}"))
+            if self.rung == MAX_RUNG:
+                raise StepperError(
+                    f"time error estimate {est:.3e} above time_tol {tol:.3e} at "
+                    f"dt = sample_interval / 2^{MAX_RUNG}, the finest step, from t={state.t:.6g}",
+                    t=state.t,
+                    value=est,
+                )
+            self.rung += 1
+            events.append(_dt_event(state.t, "dt_change", dt / 2, est, f"dt {dt} -> {dt / 2}"))
+        if est < tol / 16 and self.rung > 2:
+            self.rung -= 1
+            events.append(_dt_event(new.t, "dt_change", 2 * dt, est, f"dt {dt} -> {2 * dt}"))
+        return new
+
+
+def _dt_event(t: float, kind: str, dt: float, estimate: float, message: str) -> dict:
+    return {"t": t, "kind": kind, "dt": dt, "estimate": estimate, "message": message}
 
 
 def stability_warnings(state: State, p: Params, control: StepControl) -> list[tuple[str, str]]:
     """Advisory step-size checks as (kind, message) pairs, kind "drift"
-    or "reaction"; violations degrade accuracy, not safety."""
+    or "reaction"; violations degrade accuracy, not safety.  A control
+    with time_tol gets none: its run measures its time error instead."""
+    if control.time_tol is not None:
+        return []
     g = state.u.grid
     amp = float(np.max(np.abs(state.u.values)))
     out = []

@@ -266,13 +266,28 @@ def full_fft_run(u, grid, p, dt, nsteps):
             fp = full_fft_rhs_hat(E * uh + dt * phi1 * fn, grid, p)
             uh = E * uh + 0.5 * dt * phi1 * (fn + fp)
         else:
-            uh = E * uh + dt * (
-                (phi1 + 1.5 * phi2 + phi3) * fn
-                - 2.0 * (phi2 + phi3) * past[0]
-                + (0.5 * phi2 + phi3) * past[1]
-            )
+            uh = etd_ab3_update(uh, fn, *past, E, phi1, phi2, phi3, dt)
         past = [fn] + past[:1]
     return sfft.ifftn(uh, norm="forward").real
+
+
+def etd_ab3_update(uh, fn, f1, f2, E, phi1, phi2, phi3, dt):
+    """Third-order exponential Adams-Bashforth (Cox & Matthews 2002):
+    E u^ + dt [(phi1 + 3/2 phi2 + phi3) F_n - 2 (phi2 + phi3) F_(n-1)
+    + (phi2/2 + phi3) F_(n-2)], on any spectral layout."""
+    return E * uh + dt * (
+        (phi1 + 1.5 * phi2 + phi3) * fn
+        - 2.0 * (phi2 + phi3) * f1
+        + (0.5 * phi2 + phi3) * f2
+    )
+
+
+def etd_ab2_update(uh, fn, f1, E, phi1, phi2, dt):
+    """Second-order exponential Adams-Bashforth (Cox & Matthews 2002):
+    E u^ + dt [(phi1 + phi2) F_n - phi2 F_(n-1)], on any spectral
+    layout.  Its gap to ``etd_ab3_update`` from the same history is the
+    local time error estimate of a time_tol run."""
+    return E * uh + dt * ((phi1 + phi2) * fn - phi2 * f1)
 
 
 def full_fft_band_noise(grid, rng, band):

@@ -4,7 +4,10 @@
 each bundled scenario, written before the checks were split into units.
 It was regenerated once, for envelope_1d, fisher_1d and spreading_1d
 only, when the stepper went from second to third order in time: their
-front fits and margins moved with the time error.  The reports come from
+front fits and margins moved with the time error.  envelope_1d's entry
+alone was regenerated again when that scenario took a time_tol: its
+sandwich margin moved by 1e-16, and its events now list the
+rejected intervals and dt changes of its step-size ladder.  The reports come from
 ``acceptance.bundled_report``, the cache the acceptance gate shares, so
 this test adds no runs to the suite.
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kslogistic import grid, harness
+from kslogistic import grid, harness, stepper
 from kslogistic.cli import main
 from kslogistic.harness import (
     CSV_COLUMNS,
@@ -64,13 +64,14 @@ NUMBER_KEYS = [
     "grid.half_width", "params.chi", "params.a", "params.b",
     "ic.amplitude", "ic.radius", "ic.width", "ic.floor",
     "control.dt", "control.t_end", "control.negativity_budget",
-    "control.blowup_threshold", "diagnostics.sample_interval",
+    "control.blowup_threshold", "control.time_tol", "diagnostics.sample_interval",
     "diagnostics.front_level", "diagnostics.guard",
 ]
 INTEGER_KEYS = ["grid.dim", "grid.n", "ic.seed", "diagnostics.snapshot_every"]
 OTHER_KEYS = ["ic.kind"]
 NULLABLE_KEYS = {
     "diagnostics.front_level", "control.negativity_budget", "control.blowup_threshold",
+    "control.time_tol",
 }
 WRONG_KIND = (
     [(key, bad) for key in NUMBER_KEYS for bad in ("1.0", True)]
@@ -180,6 +181,13 @@ class TestSchema:
     def test_t_end_must_be_sample_multiple(self):
         with pytest.raises(ScenarioError, match="t_end"):
             tiny(control={"dt": 0.01, "t_end": 0.55})
+
+    def test_time_tol_needs_a_start_on_the_ladder(self):
+        # 0.1 / 2e-5 = 5000 steps a sample interval, past 2^12
+        control = {"dt": 2e-5, "t_end": 0.5}
+        assert tiny(control=control).control.time_tol is None
+        with pytest.raises(ScenarioError, match=r"^scenario: control: under time_tol, sample_interval / dt \(5000\) must be at most 2\^12$"):
+            tiny(control=dict(control, time_tol=1e-6))
 
     @pytest.mark.parametrize(
         "control, big, small",
@@ -338,6 +346,7 @@ class TestWithValue:
         sc = tiny()
         assert with_value(sc, "params.chi", 0.7).params.chi == 0.7
         assert with_value(sc, "control.dt", 0.005).control.dt == 0.005
+        assert with_value(sc, "control.time_tol", 1e-6).control.time_tol == 1e-6
         assert with_value(sc, "grid.n", 128).grid.n == 128
         assert with_value(sc, "ic.amplitude", 1.0).ic.amplitude == 1.0
 
@@ -530,6 +539,60 @@ class TestRun:
         assert "dt_advisory_reaction" in kinds
 
 
+def small_envelope(**control) -> Scenario:
+    """envelope_1d with its time_tol, shrunk to about a tenth of its
+    cost: n = 64 on [-10, 10), a Gaussian of width 1.5, t_end = 12,
+    and u stored at every sample."""
+    data = load_scenario(bundled_scenario_path("envelope_1d")).to_dict()
+    data["grid"].update(n=64, half_width=10.0)
+    data["ic"]["width"] = 1.5
+    data["control"].update(t_end=12.0, **control)
+    data["diagnostics"]["snapshot_every"] = 1
+    return scenario_from_dict(data)
+
+
+class TestTimeTol:
+    def test_fewer_steps_same_samples_smaller_error(self, monkeypatch):
+        taken = []
+        real_step = stepper.step
+
+        def counted(*args, steps=1):
+            taken.append(steps)
+            return real_step(*args, steps=steps)
+
+        monkeypatch.setattr(stepper, "step", counted)
+        sc = small_envelope()
+        tol, dt = sc.control.time_tol, sc.control.dt
+        rep = run(sc)
+        monkeypatch.undo()
+        ref = run(small_envelope(time_tol=None, dt=dt / 8))
+        assert rep.ok and ref.ok
+        assert rep.times == ref.times
+        # rejected attempts included: 1,860 steps against the fixed twin's 2,400
+        assert sum(taken) < round(sc.control.t_end / dt)
+        err = max(np.max(np.abs(a["u"] - b["u"])) for a, b in zip(rep.snapshots, ref.snapshots))
+        # measured 2.2e-7 = 0.74 tol (the fixed twin: 3.4e-6); the bundled
+        # run reads 2.3 tol against its own dt/8 reference
+        assert err <= 1.5 * tol
+        kinds = [e["kind"] for e in rep.events]
+        assert not any(k.startswith("dt_advisory") for k in kinds)
+        ladder = [e for e in rep.events if e["kind"] in ("dt_change", "interval_rejected")]
+        assert {"dt_change", "interval_rejected"} <= set(kinds)
+        for e in ladder:
+            k = math.log2(sc.diagnostics.sample_interval / e["dt"])
+            assert k == int(k) and 2 <= k <= stepper.MAX_RUNG
+            assert e["t"] in rep.times
+        assert all(e["estimate"] > tol for e in ladder if e["kind"] == "interval_rejected")
+
+    def test_blowup_aborts_as_at_fixed_dt(self):
+        control = {"dt": 0.01, "t_end": 0.5, "blowup_threshold": 1.0}
+        fixed = run(tiny(control=control))
+        tol = run(tiny(control=dict(control, time_tol=1e-6)))
+        assert fixed.abort["kind"] == tol.abort["kind"] == "BlowupError"
+        assert [e["kind"] for e in fixed.events] == [e["kind"] for e in tol.events] == ["abort"]
+        assert not tol.ok
+
+
 class TestOutputs:
     def test_run_experiment_writes_everything(self, tmp_path):
         rep, paths = run_experiment(tiny(), outdir=tmp_path)
@@ -677,8 +740,9 @@ class TestSweep:
             ("control.dt", 0.005, 0.03, {}),
             # the support, radius + 3 width, must stay inside 0.9 half_width
             ("ic.radius", 2.0, 8.0, {"kind": "smoothed_indicator"}),
+            ("control.time_tol", 1e-6, 0.0, {}),
         ],
-        ids=["params.chi", "grid.n", "grid.half_width", "control.dt", "ic.radius"],
+        ids=["params.chi", "grid.n", "grid.half_width", "control.dt", "ic.radius", "control.time_tol"],
     )
     def test_invalid_axis_value_fails_fast(self, axis, good, bad, ic):
         # a run failure would be recorded in a row; raising means no run started

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,13 @@ from kslogistic.params import Params
 from kslogistic.reference import logistic_exact
 from kslogistic.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 from kslogistic.stepper import (
+    MAX_RUNG,
     BlowupError,
     NegativityError,
+    SampleStepper,
     State,
     StepControl,
+    StepperError,
     _phis,
     _plan,
     initial_state,
@@ -25,7 +29,17 @@ from kslogistic.stepper import (
     step,
 )
 
-from oracles import divergence, full_fft_run, nonlinearity, rk4_reaction_diffusion
+from oracles import (
+    divergence,
+    etd_ab2_update,
+    etd_ab3_update,
+    full_fft_phis,
+    full_fft_rhs_hat,
+    full_fft_run,
+    full_multipliers,
+    nonlinearity,
+    rk4_reaction_diffusion,
+)
 
 
 def gaussian_ic(grid, amp=1.2, width=1.5):
@@ -198,6 +212,8 @@ def test_stability_warnings_fire_and_stay_quiet():
     # between the two limits only the drift one is crossed
     drift_only = stability_warnings(s, p, StepControl(dt=0.05, t_end=2.0))
     assert [kind for kind, _ in drift_only] == ["drift"]
+    # a run under time_tol measures its time error instead
+    assert stability_warnings(s, p, StepControl(dt=1.0, t_end=2.0, time_tol=1e-6)) == []
 
 
 def test_step_control_validation():
@@ -209,6 +225,17 @@ def test_step_control_validation():
         StepControl(dt=0.1, t_end=1.0, negativity_budget=-1e-10)
     with pytest.raises(ValueError):
         StepControl(dt=0.1, t_end=1.0, blowup_threshold=0.0)
+    for bad in (0.0, -1e-7, math.inf, math.nan):
+        with pytest.raises(ValueError, match="time_tol must be positive"):
+            StepControl(dt=0.1, t_end=1.0, time_tol=bad)
+
+
+def test_resolved_keeps_time_tol():
+    g, u0 = _initial(1, 32, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    c = StepControl(dt=0.1, t_end=1.0, time_tol=3e-7).resolved(u0, p)
+    assert c.time_tol == 3e-7
+    assert c.negativity_budget is not None and c.blowup_threshold is not None
 
 
 def test_dim_mismatch_rejected():
@@ -710,3 +737,75 @@ def test_grad_v_is_formed_from_the_carried_spectrum(monkeypatch, dim, n):
     for got, want in zip(gv, grad_potential(s.u)):
         assert not got.values.flags.writeable
         assert np.max(np.abs(got.values - want.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+def test_time_error_is_the_gap_between_ab3_and_ab2(dim, n):
+    # the stepper's estimate, from the second difference of its own F
+    # history, against the explicit AB3 and AB2 updates of the oracle
+    # from the F of the same three states on the full spectrum.  The gap
+    # (~1e-5 here) is a difference of two O(1) updates, so rounding
+    # limits the agreement to ~1e-16 / 1e-5 relative; it reads ~1e-11.
+    g, u0 = _initial(dim, n, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=dim)
+    dt = 0.02
+    c = StepControl(dt=dt, t_end=1.0, time_tol=1.0).resolved(u0, p)
+    states = [initial_state(u0)]
+    for _ in range(3):
+        states.append(step(states[-1], p, c))
+    # two-stage steps have no AB3 - AB2 gap
+    assert [st.time_error for st in states[:3]] == [None] * 3
+    f0, f1, f2 = (full_fft_rhs_hat(np.fft.fftn(st.u.values, norm="forward"), g, p) for st in states[:3])
+    z = -dt * (1.0 + full_multipliers(g).k2)
+    E, (phi1, phi2, phi3) = np.exp(z), full_fft_phis(z)
+    uh = np.fft.fftn(states[2].u.values, norm="forward")
+    ab3 = etd_ab3_update(uh, f2, f1, f0, E, phi1, phi2, phi3, dt)
+    gap = ab3 - etd_ab2_update(uh, f2, f1, E, phi1, phi2, dt)
+    assert np.max(np.abs(np.fft.ifftn(ab3, norm="forward").real - states[3].u.values)) <= 1e-13
+    # twice the l1 norm of the half-spectrum, the stepper's sup bound
+    want = 2.0 * np.sum(np.abs(gap[..., : n // 2 + 1]))
+    assert 1e-7 < want < 1e-4
+    assert states[3].time_error == pytest.approx(want, rel=1e-8)
+    # without time_tol, no estimate is made
+    fixed = StepControl(dt=dt, t_end=1.0).resolved(u0, p)
+    assert step(states[2], p, fixed).time_error is None
+
+
+def _ladder(tol, dt, interval=0.25, n=32):
+    g, u0 = _initial(1, n, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    c = StepControl(dt=dt, t_end=1.0, time_tol=tol).resolved(u0, p)
+    return SampleStepper(p, c, interval), initial_state(u0)
+
+
+def test_a_loose_tolerance_climbs_to_four_steps_an_interval_and_stays():
+    advance, s = _ladder(tol=1.0, dt=0.25 / 64)
+    assert advance.rung == 6
+    events = []
+    for i in range(8):
+        s = advance(s, events)
+        assert s.t == 0.25 * (i + 1)
+    assert advance.rung == 2
+    assert [e["kind"] for e in events] == ["dt_change"] * 4
+    assert [e["dt"] for e in events] == [0.25 / 32, 0.25 / 16, 0.25 / 8, 0.25 / 4]
+    assert s.step_count == 64 + 32 + 16 + 8 + 4 * 4
+
+
+def test_an_interval_rejected_at_the_last_rung_aborts():
+    advance, s = _ladder(tol=1e-300, dt=0.25 / 2 ** (MAX_RUNG - 1))
+    events = []
+    with pytest.raises(StepperError, match="the finest step") as err:
+        advance(s, events)
+    assert type(err.value) is StepperError
+    assert err.value.t == 0.0 and err.value.value > 1e-300
+    assert [e["kind"] for e in events] == ["interval_rejected", "dt_change", "interval_rejected"]
+    assert [e["dt"] for e in events] == [0.25 / 2 ** (MAX_RUNG - 1), 0.25 / 2**MAX_RUNG, 0.25 / 2**MAX_RUNG]
+
+
+def test_an_abort_under_time_tol_is_not_retried():
+    advance, s = _ladder(tol=1e-300, dt=0.25 / 4)
+    advance.control = replace(advance.control, blowup_threshold=1.0)
+    events = []
+    with pytest.raises(BlowupError):
+        advance(s, events)
+    assert events == [] and advance.rung == 2
