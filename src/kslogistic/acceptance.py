@@ -36,7 +36,7 @@ from .params import Params
 from .reference import classify, upper_envelope
 from .scenario import bundled_scenario_names, bundled_scenario_path, load_scenario, scenario_from_dict
 from .semigroup import apply_T, apply_T_div
-from .stepper import StepControl, initial_state, step
+from .stepper import StepControl, _plan, initial_state, step
 
 __all__ = ["CriterionResult", "CRITERIA", "run_one", "run_all", "bundled_report"]
 
@@ -117,8 +117,10 @@ def _kernel_quadrature_error() -> float:
 
 @criterion(budget=5.0)
 def crit_elliptic_exactness():
-    # route one: cosine eigenfunctions have a closed-form resolvent
-    worst_eig = 0.0
+    # route one: cosine eigenfunctions below the 2/3 band have a closed-form
+    # resolvent and gradient, the latter read from grad_potential and from
+    # the synth rows that make F's grad v
+    worst_eig = worst_grad = 0.0
     cases = (
         (1, 256, 8.0, ((0,), (1,), (3,), (7,))),
         (2, 64, 6.0, ((0, 1), (2, 3), (5, 0))),
@@ -127,18 +129,24 @@ def crit_elliptic_exactness():
     for dim, n, L, mode_sets in cases:
         g = make_grid(dim, n, L)
         mesh = np.meshgrid(*g.axes, indexing="ij")
+        synth = _plan(g, 1.0, 1.0, 1.0).synth[1:]
         for modes in mode_sets:
             k2 = sum((m * math.pi / L) ** 2 for m in modes)
-            u_vals = np.prod([np.cos(m * math.pi * X / L) for m, X in zip(modes, mesh)], axis=0)
-            v = solve(Field(g, u_vals))
-            err = np.max(np.abs(v.values - u_vals / (1.0 + k2)))
+            cosines = [np.cos(m * math.pi * X / L) for m, X in zip(modes, mesh)]
+            u = Field(g, np.prod(cosines, axis=0))
+            err = np.max(np.abs(solve(u).values - u.values / (1.0 + k2)))
             worst_eig = max(worst_eig, float(err))
+            # d_i v = -k_i sin(k_i x_i) prod_(j != i) cos(k_j x_j) / (1 + |k|^2)
+            d = [-(m * math.pi / L) * np.sin(m * math.pi * X / L) / (1.0 + k2) for m, X in zip(modes, mesh)]
+            want = np.stack([np.prod(cosines[:i] + [di] + cosines[i + 1:], axis=0) for i, di in enumerate(d)])
+            for got in ([c.values for c in grad_potential(u)], g.irfft(synth * g.rfft(u.values))):
+                worst_grad = max(worst_grad, float(np.max(np.abs(np.asarray(got) - want))))
     # route two: Gauss-Legendre quadrature of the exponential kernel
     worst_quad = _kernel_quadrature_error()
-    passed = worst_eig <= 1e-12 and worst_quad <= 1e-6
+    passed = worst_eig <= 1e-12 and worst_grad <= 1e-12 and worst_quad <= 1e-6
     detail = (
-        f"eigenfunction err {worst_eig:.2e} (tol 1e-12), kernel quadrature "
-        f"err {worst_quad:.2e} (tol 1e-6)"
+        f"eigenfunction err {worst_eig:.2e}, gradient err {worst_grad:.2e} "
+        f"(tol 1e-12), kernel quadrature err {worst_quad:.2e} (tol 1e-6)"
     )
     return passed, detail
 

@@ -217,7 +217,13 @@ class Equilibrium(Check):
 
 
 class CstarPositive(Check):
-    """Reads the harness's last far-field scan of the speed floor."""
+    """Reads the harness's last far-field scan of the speed floor.
+
+    A consistency check that cannot fail: the scan covers |x| >= 1.5
+    front radii, where v is about 0, so the floor reads 2 sqrt(a).  Even
+    its minimum over the whole box, the wake value 2 sqrt(a - chi a/b),
+    is positive whenever chi < b.  A falsifiable check needs the
+    log-corrected front speed against the floor."""
 
     name = "cstar_positive"
 

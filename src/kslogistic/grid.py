@@ -181,11 +181,6 @@ class Grid:
             return np.fft.irfft(coef, self.n, norm="forward", out=out)
         return np.fft.irfftn(coef, self.shape, axes=tuple(range(-self.dim, 0)), norm="forward", out=out)
 
-    def apply(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        """Real field (or batch) times a half-spectrum multiplier (or a
-        stack of them), back in physical space."""
-        return self.irfft(multiplier * self.rfft(values))
-
 
 @lru_cache(maxsize=16)
 def _radius_mesh(grid: Grid) -> np.ndarray:

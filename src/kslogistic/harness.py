@@ -40,8 +40,8 @@ from .diagnostics import (
 )
 from .icfactory import realize
 from .reference import RegimeReport, classify, cstar_lower_bound_formula
-from .scenario import Scenario, ScenarioError, front_level_of, timing, with_value
-from .stepper import SampleStepper, StepperError, initial_state, stability_warnings
+from .scenario import Scenario, ScenarioError, front_level_of, with_value
+from .stepper import SampleStepper, StepperError, initial_state
 # run steps through SampleStepper; step stays bound here for callers
 # that look the kernel up in this module, as the benchmark's tracer does
 from .stepper import step  # noqa: F401
@@ -212,78 +212,66 @@ def run(scenario: Scenario) -> Report:
     t0_wall = time.perf_counter()
     g, p, diag = scenario.grid, scenario.params, scenario.diagnostics
     level = front_level_of(scenario)
-    nsamp = timing(scenario)[1]
     u0 = realize(scenario.ic, g, guard=diag.guard)
-    control = scenario.control.resolved(u0, p)
-    advance = SampleStepper(p, control, diag.sample_interval)
-    state = initial_state(u0)
+    clock = SampleStepper(p, scenario.control.resolved(u0, p), diag.sample_interval)
     rep = Report(scenario, classify(p), series={name: [] for name in CSV_COLUMNS[1:]})
     checks = [unit(scenario.checks[name]) for name, unit in CHECKS.items() if name in scenario.checks]
     cols = rep.series
-    warned: set = set()
     front_was_valid = front_left_guard = False
     guard_limit = (1.0 - diag.guard) * g.half_width
 
-    for i in range(nsamp + 1):
-        if i > 0:
-            try:
-                state = advance(state, rep.events)
-            except StepperError as e:
-                rep.abort = {"kind": type(e).__name__, "t": e.t, "value": e.value, "message": str(e)}
-                rep.events.append({"t": e.t, "kind": "abort", "message": str(e)})
-                break
-        t = i * diag.sample_interval
-        u, v = state.u, state.v
-        rep.times.append(t)
-        cols["mass"].append(lp_norm(u, 1))
-        cols["l2"].append(lp_norm(u, 2))
-        cols["linf"].append(lp_norm(u, math.inf))
-        cols["min_u"].append(float(u.values.min()))
-        radius = front_radius(u, level)
-        valid = radius <= guard_limit
-        cols["front_radius"].append(radius)
-        cols["front_valid"].append(bool(valid))
-        if valid:
-            front_was_valid = True
-        elif front_was_valid and not front_left_guard:
-            # only a front that once fit in the box can outgrow it
-            front_left_guard = True
-            rep.events.append(
-                {
-                    "t": t,
-                    "kind": "front_beyond_guard",
-                    "message": (
-                        f"front radius {radius:.6g} exceeds "
-                        f"(1 - guard) half_width = {guard_limit:.6g}"
-                    ),
-                }
-            )
-        du, dv = equilibrium_distance(u, v, p)
-        cols["dist_u_ab"].append(du)
-        cols["dist_v_ab"].append(dv)
+    try:
+        for i, t, state in clock.samples(initial_state(u0), rep.events):
+            u, v = state.u, state.v
+            rep.times.append(t)
+            cols["mass"].append(lp_norm(u, 1))
+            cols["l2"].append(lp_norm(u, 2))
+            cols["linf"].append(lp_norm(u, math.inf))
+            cols["min_u"].append(float(u.values.min()))
+            radius = front_radius(u, level)
+            valid = radius <= guard_limit
+            cols["front_radius"].append(radius)
+            cols["front_valid"].append(bool(valid))
+            if valid:
+                front_was_valid = True
+            elif front_was_valid and not front_left_guard:
+                # only a front that once fit in the box can outgrow it
+                front_left_guard = True
+                rep.events.append(
+                    {
+                        "t": t,
+                        "kind": "front_beyond_guard",
+                        "message": (
+                            f"front radius {radius:.6g} exceeds "
+                            f"(1 - guard) half_width = {guard_limit:.6g}"
+                        ),
+                    }
+                )
+            du, dv = equilibrium_distance(u, v, p)
+            cols["dist_u_ab"].append(du)
+            cols["dist_v_ab"].append(dv)
 
-        cstar_val = math.nan
-        # at a = 0 the floor 2 sqrt(a - chi v) - chi |grad v| is defined
-        # only where rounding leaves v <= 0, so there is nothing to scan
-        if valid and radius > 0.0 and p.a > 0.0:
-            try:
-                scan = cstar_functional(u, v, p, _CSTAR_INNER_FACTOR * radius, state.grad_v)
-            except ValueError:
-                scan = None
-            if scan is not None:
-                rep.scan = (t, scan)
-                if math.isfinite(scan.speed_min):
-                    cstar_val = scan.speed_min
-        cols["cstar_min"].append(cstar_val)
+            cstar_val = math.nan
+            # at a = 0 the floor 2 sqrt(a - chi v) - chi |grad v| is defined
+            # only where rounding leaves v <= 0, so there is nothing to scan
+            if valid and radius > 0.0 and p.a > 0.0:
+                try:
+                    scan = cstar_functional(u, v, p, _CSTAR_INNER_FACTOR * radius, state.grad_v)
+                except ValueError:
+                    scan = None
+                if scan is not None:
+                    rep.scan = (t, scan)
+                    if math.isfinite(scan.speed_min):
+                        cstar_val = scan.speed_min
+            cols["cstar_min"].append(cstar_val)
 
-        for check in checks:
-            check.observe(t, u, v, rep)
-        for kind, msg in stability_warnings(state, p, control):
-            if kind not in warned:
-                warned.add(kind)
-                rep.events.append({"t": t, "kind": f"dt_advisory_{kind}", "message": msg})
-        if diag.snapshot_every and i % diag.snapshot_every == 0:
-            rep.snapshots.append({"t": t, "u": u.values, "v": v.values})
+            for check in checks:
+                check.observe(t, u, v, rep)
+            if diag.snapshot_every and i % diag.snapshot_every == 0:
+                rep.snapshots.append({"t": t, "u": u.values, "v": v.values})
+    except StepperError as e:
+        rep.abort = {"kind": type(e).__name__, "t": e.t, "value": e.value, "message": str(e)}
+        rep.events.append({"t": e.t, "kind": "abort", "message": str(e)})
 
     try:
         est = estimate_speed(rep.times, cols["front_radius"], cols["front_valid"])

@@ -98,7 +98,7 @@ def band_limited_noise(grid: Grid, rng: np.random.Generator, band: int) -> np.nd
     """White noise drawn from rng, keeping per-axis modes |j| <= band,
     scaled to unit sup norm."""
     white = rng.standard_normal(grid.shape)
-    vals = grid.apply(white, grid.half.modes <= band)
+    vals = grid.irfft((grid.half.modes <= band) * grid.rfft(white))
     top = np.max(np.abs(vals))
     return vals / top if top > 0 else vals
 

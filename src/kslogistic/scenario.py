@@ -1,9 +1,10 @@
 """Scenario files: a strict, versioned YAML schema for runs.
 
 Strict means strict: unknown keys anywhere are errors, as are missing
-required keys, wrong types, and timing grids that do not nest (the
+required keys, wrong types, and time grids that do not nest (the
 sample interval must be an integer multiple of dt, and t_end an integer
-multiple of the sample interval).  Parse errors carry line and column.
+multiple of the sample interval; under time_tol, dt at least 2^-12 of
+the sample interval).  Parse errors carry line and column.
 
 The sections grid, params, ic, control and diagnostics are the
 constructor fields of Grid, Params, ICSpec, StepControl and
@@ -13,9 +14,11 @@ params takes no dim; grid.dim sets it.  The echo ``Scenario.to_dict``
 lists the same fields in declaration order.
 
 Each rule lives with the object it constrains: those classes check
-their own fields, and Scenario checks the rules that span sections and
-normalizes its checks.  A Scenario built by hand or by ``with_value``
-is therefore held to the same rules as a loaded one.
+their own fields, the run's clock (``stepper.SampleStepper``) checks
+the time grid, and Scenario builds a clock to validate, checks the
+other rules that span sections and normalizes its checks.  A Scenario
+built by hand or by ``with_value`` is therefore held to the same rules
+as a loaded one.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .diagnostics import check_guard
 from .grid import Grid
 from .icfactory import ICSpec, check_placement
 from .params import Params
-from .stepper import StepControl, start_rung
+from .stepper import SampleStepper, StepControl
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -99,12 +102,10 @@ class Scenario:
                 "name must be one plain path component: not empty, '.' or '..', "
                 f"and no '/', '\\' or NUL; got {name!r}"
             )
-        timing(self)
-        if self.control.time_tol is not None:
-            try:
-                start_rung(self.control, self.diagnostics.sample_interval)
-            except ValueError as e:
-                raise ScenarioError(f"control: {e}") from None
+        try:  # the time grid, as the run's clock checks it
+            SampleStepper(self.params, self.control, self.diagnostics.sample_interval)
+        except ValueError as e:
+            raise ScenarioError(f"control: {e}") from None
         try:  # the rule realize enforces across grid, ic and diagnostics
             check_placement(self.ic, self.grid, self.diagnostics.guard)
         except ValueError as e:
@@ -189,17 +190,6 @@ def _check_keys(d: dict, allowed, required, where: str) -> None:
     missing = sorted(set(required) - set(d))
     if missing:
         raise ScenarioError(f"missing required key(s) {missing} in {where}")
-
-
-def _multiple_of(big: float, small: float, big_name: str, small_name: str) -> int:
-    ratio = big / small
-    k = round(ratio) if math.isfinite(ratio) else 0
-    if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
-        raise ScenarioError(
-            f"{big_name} ({big}) must be a positive integer multiple of "
-            f"{small_name} ({small})"
-        )
-    return k
 
 
 def scenario_from_dict(data: Any, source: str = "scenario") -> Scenario:
@@ -333,17 +323,6 @@ def with_value(scenario: Scenario, axis: str, value) -> Scenario:
         return scenario_from_dict(data)
     except ScenarioError as e:
         raise ScenarioError(f"axis {axis!r} value {value!r} rejected: {e}") from None
-
-
-def timing(scenario: Scenario) -> tuple:
-    """(steps per sample, number of samples) for the run loop."""
-    per = _multiple_of(
-        scenario.diagnostics.sample_interval, scenario.control.dt, "sample_interval", "dt"
-    )
-    total = _multiple_of(
-        scenario.control.t_end, scenario.diagnostics.sample_interval, "t_end", "sample_interval"
-    )
-    return per, total
 
 
 def front_level_of(scenario: Scenario) -> float:

@@ -28,7 +28,7 @@ def apply_T(t: float, f: Field) -> Field:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     g = f.grid
-    return Field(g, g.apply(f.values, np.exp(-t * (1.0 + g.half.k2))))
+    return Field(g, g.irfft(np.exp(-t * (1.0 + g.half.k2)) * g.rfft(f.values)))
 
 
 def apply_T_div(t: float, w: Sequence[Field]) -> Field:

@@ -48,7 +48,7 @@ the same history,
 is the plan's weight of F_{n-2} times a second difference of the
 history, so it costs no evaluation and no transform.  Twice the l1 norm
 of its half-spectrum bounds its sup norm; that bound is the estimate.
-``SampleStepper`` steps a run from one sample to the next and, under
+``SampleStepper``, a run's clock, yields its samples and, under
 time_tol, picks each sample interval's dt from it.
 """
 
@@ -73,7 +73,6 @@ __all__ = [
     "BlowupError",
     "SampleStepper",
     "MAX_RUNG",
-    "start_rung",
     "initial_state",
     "step",
     "stability_warnings",
@@ -402,28 +401,27 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
 MAX_RUNG = 12
 
 
-def start_rung(control: StepControl, interval: float) -> int:
-    """The rung k a time_tol run starts on: the smallest k >= 2 with
-    interval / 2^k <= control.dt.  A ValueError if it is past MAX_RUNG."""
-    k = 2
-    while interval / 2**k > control.dt:
-        k += 1
-    if k > MAX_RUNG:
+def _multiple_of(big: float, small: float, big_name: str, small_name: str) -> int:
+    ratio = big / small
+    k = round(ratio) if math.isfinite(ratio) else 0
+    if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
         raise ValueError(
-            f"under time_tol, sample_interval / dt ({interval / control.dt:.6g}) "
-            f"must be at most 2^{MAX_RUNG}"
+            f"{big_name} ({big}) must be a positive integer multiple of "
+            f"{small_name} ({small})"
         )
     return k
 
 
 class SampleStepper:
-    """Steps a run from one sample to the next, one call per sample
-    interval S.
+    """A run's clock, for the sample interval S: a ValueError unless S
+    is a whole multiple of control.dt and control.t_end one of S.
+    ``samples`` yields every sample; a call steps one interval.
 
     Without control.time_tol, a call is step(..., steps=S/dt).  With it,
     a call steps S at dt = S/2^k on a ladder of rungs k:
 
-    - the first interval takes ``start_rung``;
+    - the first interval takes the smallest k >= 2 with S/2^k <= dt,
+      which the constructor requires to be at most MAX_RUNG;
     - an interval is accepted when its state's time_error is at most
       time_tol, and otherwise redone from its start state at k + 1;
     - k falls by one after an interval whose time_error is below
@@ -441,13 +439,35 @@ class SampleStepper:
 
     def __init__(self, p: Params, control: StepControl, interval: float):
         self.p, self.control, self.interval = p, control, interval
+        self.per = _multiple_of(interval, control.dt, "sample_interval", "dt")
+        self.intervals = _multiple_of(control.t_end, interval, "t_end", "sample_interval")
         if control.time_tol is not None:
-            self.rung = start_rung(control, interval)
+            self.rung = next((k for k in range(2, MAX_RUNG + 1) if interval / 2**k <= control.dt), None)
+            if self.rung is None:
+                raise ValueError(
+                    f"under time_tol, sample_interval / dt ({interval / control.dt:.6g}) "
+                    f"must be at most 2^{MAX_RUNG}"
+                )
+
+    def samples(self, state: State, events: list):
+        """Yield (i, t, state) at each t = i S from the given state at t = 0,
+        stepping as a call does.  Resumed after a sample, append to events
+        the first dt_advisory_* event of each stability_warnings kind."""
+        warned = set()
+        for i in range(self.intervals + 1):
+            if i:
+                state = self(state, events)
+            t = i * self.interval
+            yield i, t, state
+            for kind, msg in stability_warnings(state, self.p, self.control):
+                if kind not in warned:
+                    warned.add(kind)
+                    events.append({"t": t, "kind": f"dt_advisory_{kind}", "message": msg})
 
     def __call__(self, state: State, events: list) -> State:
         control, tol = self.control, self.control.time_tol
         if tol is None:
-            return step(state, self.p, control, steps=round(self.interval / control.dt))
+            return step(state, self.p, control, steps=self.per)
         while True:
             dt = self.interval / 2**self.rung
             new = step(state, self.p, replace(control, dt=dt), steps=2**self.rung)

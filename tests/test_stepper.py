@@ -216,6 +216,33 @@ def test_stability_warnings_fire_and_stay_quiet():
     assert stability_warnings(s, p, StepControl(dt=1.0, t_end=2.0, time_tol=1e-6)) == []
 
 
+
+def test_the_clock_checks_its_time_grid():
+    p = Params(chi=1.0, a=1.0, b=1.0, dim=1)
+    with pytest.raises(ValueError, match=r"^sample_interval \(0.25\) must be a positive integer multiple of dt \(0.1\)$"):
+        SampleStepper(p, StepControl(dt=0.1, t_end=1.0), 0.25)
+    with pytest.raises(ValueError, match=r"^t_end \(1.1\) must be a positive integer multiple of sample_interval"):
+        SampleStepper(p, StepControl(dt=0.05, t_end=1.1), 0.25)
+    with pytest.raises(ValueError, match=r"^under time_tol, sample_interval / dt \(8192\) must be at most 2\^12$"):
+        SampleStepper(p, StepControl(dt=0.25 / 8192, t_end=1.0, time_tol=1e-6), 0.25)
+    assert SampleStepper(p, StepControl(dt=0.25 / 4096, t_end=1.0, time_tol=1e-6), 0.25).rung == MAX_RUNG
+
+
+def test_the_clock_yields_every_sample_then_its_first_advisories():
+    g = make_grid(1, 64, 5.0)
+    p = Params(chi=1.0, a=1.0, b=1.0, dim=1)
+    u0 = Field(g, np.full(64, 2.0))
+    clock = SampleStepper(p, StepControl(dt=0.05, t_end=1.0).resolved(u0, p), 0.25)
+    events = []
+    samples = clock.samples(initial_state(u0), events)
+    i, t, s = next(samples)
+    # a sample's advisories follow what its reader appends
+    assert (i, t, s.step_count, events) == (0, 0.0, 0, [])
+    events.append({"kind": "measured"})
+    rest = list(samples)
+    assert [(i, t, s.step_count) for i, t, s in rest] == [(i, 0.25 * i, 5 * i) for i in range(1, 5)]
+    assert [(e.get("t"), e["kind"]) for e in events] == [(None, "measured"), (0.0, "dt_advisory_drift")]
+
 def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(dt=0.0, t_end=1.0)
@@ -809,3 +836,31 @@ def test_an_abort_under_time_tol_is_not_retried():
     with pytest.raises(BlowupError):
         advance(s, events)
     assert events == [] and advance.rung == 2
+
+
+def _worst_dispersion_error(dt):
+    """Largest gap, over chi in {0.5, 3, 4.2, 6} and k = m/8 for m in
+    {2, 4, 8, 12}, between the growth rate of mode m over t in [0, 2]
+    from u0 = 1 + 1e-7 cos(k x) and the linear dispersion relation about
+    a/b, sigma(k) = -k^2 - a + chi (a/b) k^2 / (1 + k^2)."""
+    g = make_grid(1, 128, 8 * math.pi)
+    worst = 0.0
+    for chi in (0.5, 3.0, 4.2, 6.0):
+        p = Params(chi=chi, a=1.0, b=1.0, dim=1)
+        for m in (2, 4, 8, 12):
+            k = m / 8
+            u0 = Field(g, 1.0 + 1e-7 * np.cos(k * g.axes[0]))
+            c = StepControl(dt=dt, t_end=2.0).resolved(u0, p)
+            s = step(initial_state(u0), p, c, steps=round(2.0 / dt))
+            rate = math.log(abs(g.rfft(s.u.values)[m]) / abs(g.rfft(u0.values)[m])) / 2.0
+            sigma = -k * k - p.a + chi * (p.a / p.b) * k * k / (1.0 + k * k)
+            worst = max(worst, abs(rate - sigma))
+    return worst
+
+
+def test_small_modes_about_a_over_b_grow_at_the_linear_dispersion_rate():
+    # measured: 4.4e-5 at dt = 0.02 and 5.6e-6 at dt = 0.01, i.e. 5.5 dt^3;
+    # growing modes (chi = 4.2 at k = 1, chi = 6 at k = 1, 1.5) fix chi's sign
+    coarse, fine = (_worst_dispersion_error(dt) for dt in (0.02, 0.01))
+    assert coarse <= 10 * 0.02**3 and fine <= 10 * 0.01**3
+    assert 6.0 <= coarse / fine <= 10.0
