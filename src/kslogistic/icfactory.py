@@ -36,7 +36,8 @@ class ICSpec:
     constant            amplitude
     gaussian            amplitude, width (standard deviation)
     smoothed_indicator  amplitude, radius (plateau), width
-                        (edge scale; support ends at radius + 3 width)
+                        (edge scale: a C^inf shoulder falls from
+                        amplitude to 0 across radius + [0, 3 width])
     positive_random     floor (exact minimum), amplitude (band height),
                         seed
     constant_plus_bump  floor plus a smoothed_indicator bump
@@ -82,15 +83,22 @@ def check_placement(spec: ICSpec, grid: Grid, guard: float) -> None:
 
 
 def _bump(dist: np.ndarray, amplitude: float, radius: float, width: float) -> np.ndarray:
-    """Plateau with a mollifier shoulder: amplitude inside radius, the
-    profile exp(1 - 1/(1 - s^2)) across s in (0, 1), identically zero
-    from radius + 3 width outward."""
+    """Plateau with a C^inf shoulder: amplitude inside radius, the
+    smooth step psi(1 - s) / (psi(s) + psi(1 - s)) with
+    psi(s) = exp(-1/s) across s = (dist - radius) / (3 width) in (0, 1),
+    identically zero from radius + 3 width outward.
+
+    Every derivative of the step vanishes at both ends of the shoulder,
+    so the spectrum decays faster than any power of k; a shoulder that
+    is only C^1 there leaves a k^-3 tail that seeds the e^(a t) growth
+    of the unstable vacuum ahead of a front."""
     s = (dist - radius) / (3.0 * width)
     out = np.zeros_like(dist)
     out[s <= 0.0] = amplitude
     edge = (s > 0.0) & (s < 1.0)
     se = s[edge]
-    out[edge] = amplitude * np.exp(1.0 - 1.0 / (1.0 - se**2))
+    inner, outer = np.exp(-1.0 / (1.0 - se)), np.exp(-1.0 / se)
+    out[edge] = amplitude * inner / (inner + outer)
     return out
 
 
