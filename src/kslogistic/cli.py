@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,10 @@ def _print_report(report, paths) -> None:
     for ev in report.events:
         if ev["kind"] != "abort":
             print(f"  event t={ev['t']:.6g} {ev['kind']}: {ev['message']}")
+    measured = [(e, t) for t, e in zip(report.times, report.series["time_error"]) if not math.isnan(e)]
+    if measured:
+        e, t = max(measured)
+        print(f"  local time error estimate: largest {e:.3g} at t={t:.6g}")
     if report.speed is not None:
         s = report.speed
         print(f"  front speed {s['speed']:.6g} +/- {s['stderr']:.2g} "

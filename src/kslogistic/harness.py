@@ -5,7 +5,9 @@ A run turns one Scenario into one Report, the one record of that run:
 and take their verdicts from it, and ``run`` returns that same object.
 The report carries the scenario, the parameter-regime classification,
 fixed time series (mass, l2, linf, front radius and validity, distance
-from the uniform state, minimum of u, far-field speed floor), events,
+from the uniform state, minimum of u, far-field speed floor, and the
+stepper's local time error estimate, NaN where the interval before a
+sample made no Adams-Bashforth step, as at t = 0), events,
 check verdicts, and an optional front-speed fit.  Reports are
 deterministic: two runs of the same scenario agree bit for bit except
 for wall_time.  The checks themselves live in ``checks``; a run is ok
@@ -75,6 +77,7 @@ CSV_COLUMNS = (
     "dist_v_ab",
     "min_u",
     "cstar_min",
+    "time_error",
 )
 
 SWEEP_COLUMNS = (
@@ -264,6 +267,7 @@ def run(scenario: Scenario) -> Report:
                     if math.isfinite(scan.speed_min):
                         cstar_val = scan.speed_min
             cols["cstar_min"].append(cstar_val)
+            cols["time_error"].append(math.nan if state.time_error is None else state.time_error)
 
             for check in checks:
                 check.observe(t, u, v, rep)

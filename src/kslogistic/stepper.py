@@ -39,17 +39,18 @@ and the first step from ``initial_state`` one call more.
 Runs abort (they never clamp) when a step goes non-finite, dips below
 the negativity budget, or crosses the blow-up threshold.
 
-With control.time_tol set, an Adams-Bashforth step also measures its
-local time error for free: the update minus the ETD-AB2 update from
-the same history,
+An Adams-Bashforth step measures its local time error for free: the
+update minus the ETD-AB2 update from the same history,
 
     AB3 - AB2 = dt (phi2 / 2 + phi3) (F_n - 2 F_{n-1} + F_{n-2}),
 
 is the plan's weight of F_{n-2} times a second difference of the
 history, so it costs no evaluation and no transform.  Twice the l1 norm
 of its half-spectrum bounds its sup norm; that bound is the estimate.
-``SampleStepper``, a run's clock, yields its samples and, under
-time_tol, picks each sample interval's dt from it.
+``step`` makes it at the last Adams-Bashforth step of each call, and at
+every one under control.time_tol.  ``SampleStepper``, a run's clock,
+yields its samples and, under time_tol, picks each sample interval's dt
+from it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ __all__ = [
     "MAX_RUNG",
     "initial_state",
     "step",
-    "stability_warnings",
 ]
 
 
@@ -103,9 +103,10 @@ class StepControl:
     negativity_budget -> 1e-10 * (1 + ||u0||_inf)
     blowup_threshold  -> 1e4 * max(1, ||u0||_inf, a/b)
 
-    time_tol None steps at the fixed dt.  A time_tol makes dt the
-    largest step a run starts with, and ``SampleStepper`` bounds the
-    time error estimate of every Adams-Bashforth step by time_tol.
+    time_tol None steps at the fixed dt, and ``step`` estimates the time
+    error of a call's last Adams-Bashforth step only.  A time_tol makes
+    dt the largest step a run starts with, and ``SampleStepper`` bounds
+    the time error estimate of every Adams-Bashforth step by time_tol.
     """
 
     dt: float
@@ -148,9 +149,10 @@ class State:
     they stay in step with u, and u owns its memory, so a kept u pins no
     factors.
 
-    time_error is the largest local time error estimate over the
-    Adams-Bashforth steps of the ``step`` call that made the state,
-    under a control with time_tol; otherwise None."""
+    time_error is the local time error estimate of the last
+    Adams-Bashforth step of the ``step`` call that made the state, or,
+    under a control with time_tol, the largest over its Adams-Bashforth
+    steps; None if the call made none."""
 
     def __init__(self, t: float, u: Field, step_count: int = 0, uh=None):
         if uh is None:
@@ -295,9 +297,9 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     k calls.  The returned State holds read-only copies of u and its
     spectrum, the last step's factors, which nothing else refers to,
     and the F history, which may share a read-only array with the input
-    state's.  Under a control with time_tol, the returned state's
-    time_error is the largest estimate over the call's Adams-Bashforth
-    steps (None if it made none).
+    state's.  The returned state's time_error is the estimate at the
+    call's last Adams-Bashforth step or, under a control with time_tol,
+    the largest over all of them (None if the call made none).
     """
     g = state.u.grid
     if p.dim != g.dim:
@@ -314,6 +316,7 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
     a1 = p.a + 1.0
     neg, blow = control.negativity_budget, control.blowup_threshold
     gauged, time_error = control.time_tol is not None, None
+    last = state.step_count + steps
 
     # the new u and the next factors, as rows in both layouts; row 0 of
     # rows is the uh a step starts from and, at its end, the new one
@@ -332,12 +335,12 @@ def step(state: State, p: Params, control: StepControl, steps: int = 1) -> State
         past = ()
 
     t = state.t
-    for count in range(state.step_count + 1, state.step_count + steps + 1):
+    for count in range(state.step_count + 1, last + 1):
         fn = _rhs(g, uh, phys, weights, a1, ring[count % 3], prod, prodh)
         np.multiply(E, uh, out=Eu)
         if len(past) == 2:
             w_n, w_1, w_2 = plan.ab3
-            if gauged:
+            if gauged or count == last:
                 # AB3 - AB2 = w_2 (F_n - 2 F_(n-1) + F_(n-2)), in pred,
                 # which this update does not use
                 np.subtract(fn, past[0], out=pred)
@@ -417,17 +420,18 @@ class SampleStepper:
     is a whole multiple of control.dt and control.t_end one of S.
     ``samples`` yields every sample; a call steps one interval.
 
-    Without control.time_tol, a call is step(..., steps=S/dt).  With it,
-    a call steps S at dt = S/2^k on a ladder of rungs k:
+    Without control.time_tol, a call is step(..., steps=S/dt), whose
+    state carries the estimate of the interval's last step.  With it, a
+    call steps S at dt = S/2^k on a ladder of rungs k:
 
     - the first interval takes the smallest k >= 2 with S/2^k <= dt,
       which the constructor requires to be at most MAX_RUNG;
     - an interval is accepted when its state's time_error is at most
       time_tol, and otherwise redone from its start state at k + 1;
     - k falls by one after an interval whose time_error is below
-      time_tol/16, since the estimate scales like dt^4, but never
-      below 2: every interval then ends on Adams-Bashforth steps whose
-      history was made at its own dt;
+      time_tol/16, since the estimate, AB2's local error, scales like
+      dt^3, but never below 2: every interval then ends on
+      Adams-Bashforth steps whose history was made at its own dt;
     - an abort in an attempt propagates and is never retried, and an
       interval rejected at MAX_RUNG aborts the run with a StepperError.
 
@@ -451,18 +455,11 @@ class SampleStepper:
 
     def samples(self, state: State, events: list):
         """Yield (i, t, state) at each t = i S from the given state at t = 0,
-        stepping as a call does.  Resumed after a sample, append to events
-        the first dt_advisory_* event of each stability_warnings kind."""
-        warned = set()
+        stepping as a call does."""
         for i in range(self.intervals + 1):
             if i:
                 state = self(state, events)
-            t = i * self.interval
-            yield i, t, state
-            for kind, msg in stability_warnings(state, self.p, self.control):
-                if kind not in warned:
-                    warned.add(kind)
-                    events.append({"t": t, "kind": f"dt_advisory_{kind}", "message": msg})
+            yield i, i * self.interval, state
 
     def __call__(self, state: State, events: list) -> State:
         control, tol = self.control, self.control.time_tol
@@ -493,33 +490,3 @@ class SampleStepper:
 
 def _dt_event(t: float, kind: str, dt: float, estimate: float, message: str) -> dict:
     return {"t": t, "kind": kind, "dt": dt, "estimate": estimate, "message": message}
-
-
-def stability_warnings(state: State, p: Params, control: StepControl) -> list[tuple[str, str]]:
-    """Advisory step-size checks as (kind, message) pairs, kind "drift"
-    or "reaction"; violations degrade accuracy, not safety.  A control
-    with time_tol gets none: its run measures its time error instead."""
-    if control.time_tol is not None:
-        return []
-    g = state.u.grid
-    amp = float(np.max(np.abs(state.u.values)))
-    out = []
-    drift = p.chi * math.sqrt(g.dim) * amp
-    if drift > 0:
-        dt_adv = 0.25 * g.h / drift
-        if control.dt > dt_adv:
-            out.append((
-                "drift",
-                f"dt={control.dt:.3g} exceeds the drift limit {dt_adv:.3g} "
-                f"(0.25 h / (chi sqrt(dim) ||u||_inf))",
-            ))
-    react = p.a + 2.0 * p.b * amp
-    if react > 0:
-        dt_react = 0.5 / react
-        if control.dt > dt_react:
-            out.append((
-                "reaction",
-                f"dt={control.dt:.3g} exceeds the reaction limit {dt_react:.3g} "
-                f"(0.5 / (a + 2 b ||u||_inf))",
-            ))
-    return out

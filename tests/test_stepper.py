@@ -25,7 +25,6 @@ from kslogistic.stepper import (
     _phis,
     _plan,
     initial_state,
-    stability_warnings,
     step,
 )
 
@@ -201,22 +200,6 @@ def test_mass_stays_under_exponential_envelope():
         assert mass <= mass0 * np.exp(p.a * s.t) * (1 + 1e-6)
 
 
-def test_stability_warnings_fire_and_stay_quiet():
-    g = make_grid(1, 64, 5.0)
-    p = Params(chi=1.0, a=1.0, b=1.0, dim=1)
-    s = initial_state(Field(g, np.full(64, 2.0)))
-    loud = stability_warnings(s, p, StepControl(dt=1.0, t_end=2.0))
-    assert [kind for kind, _ in loud] == ["drift", "reaction"]
-    assert "drift limit" in loud[0][1] and "reaction limit" in loud[1][1]
-    assert stability_warnings(s, p, StepControl(dt=1e-3, t_end=2.0)) == []
-    # between the two limits only the drift one is crossed
-    drift_only = stability_warnings(s, p, StepControl(dt=0.05, t_end=2.0))
-    assert [kind for kind, _ in drift_only] == ["drift"]
-    # a run under time_tol measures its time error instead
-    assert stability_warnings(s, p, StepControl(dt=1.0, t_end=2.0, time_tol=1e-6)) == []
-
-
-
 def test_the_clock_checks_its_time_grid():
     p = Params(chi=1.0, a=1.0, b=1.0, dim=1)
     with pytest.raises(ValueError, match=r"^sample_interval \(0.25\) must be a positive integer multiple of dt \(0.1\)$"):
@@ -228,7 +211,7 @@ def test_the_clock_checks_its_time_grid():
     assert SampleStepper(p, StepControl(dt=0.25 / 4096, t_end=1.0, time_tol=1e-6), 0.25).rung == MAX_RUNG
 
 
-def test_the_clock_yields_every_sample_then_its_first_advisories():
+def test_the_clock_yields_every_sample():
     g = make_grid(1, 64, 5.0)
     p = Params(chi=1.0, a=1.0, b=1.0, dim=1)
     u0 = Field(g, np.full(64, 2.0))
@@ -236,12 +219,12 @@ def test_the_clock_yields_every_sample_then_its_first_advisories():
     events = []
     samples = clock.samples(initial_state(u0), events)
     i, t, s = next(samples)
-    # a sample's advisories follow what its reader appends
     assert (i, t, s.step_count, events) == (0, 0.0, 0, [])
     events.append({"kind": "measured"})
     rest = list(samples)
     assert [(i, t, s.step_count) for i, t, s in rest] == [(i, 0.25 * i, 5 * i) for i in range(1, 5)]
-    assert [(e.get("t"), e["kind"]) for e in events] == [(None, "measured"), (0.0, "dt_advisory_drift")]
+    # at fixed dt the clock appends nothing to what its reader appends
+    assert events == [{"kind": "measured"}]
 
 def test_step_control_validation():
     with pytest.raises(ValueError):
@@ -793,9 +776,26 @@ def test_time_error_is_the_gap_between_ab3_and_ab2(dim, n):
     want = 2.0 * np.sum(np.abs(gap[..., : n // 2 + 1]))
     assert 1e-7 < want < 1e-4
     assert states[3].time_error == pytest.approx(want, rel=1e-8)
-    # without time_tol, no estimate is made
+    # without time_tol, a call estimates its last Adams-Bashforth step
     fixed = StepControl(dt=dt, t_end=1.0).resolved(u0, p)
-    assert step(states[2], p, fixed).time_error is None
+    assert step(states[2], p, fixed).time_error == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("time_tol", [None, 1.0])
+def test_a_k_step_call_reports_the_estimates_of_its_k_single_calls(time_tol):
+    # at fixed dt a call reports its last step's estimate, under
+    # time_tol the largest of its steps'
+    g, u0 = _initial(1, 128, 8.0)
+    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
+    c = StepControl(dt=0.02, t_end=1.0, time_tol=time_tol).resolved(u0, p)
+    start = step(initial_state(u0), p, c, steps=3)
+    singles = [start]
+    for _ in range(5):
+        singles.append(step(singles[-1], p, c))
+    estimates = [st.time_error for st in singles[1:]]
+    assert all(e > 0 for e in estimates)
+    batched = step(start, p, c, steps=5).time_error
+    assert batched == (estimates[-1] if time_tol is None else max(estimates))
 
 
 def _ladder(tol, dt, interval=0.25, n=32):
