@@ -11,8 +11,9 @@ process when first read.
 
 The checks deliberately cross-validate along independent routes: the
 elliptic solve against closed-form eigenfunctions and against
-Gauss-Legendre quadrature of the exponential kernel, the semigroup
-against operator-norm inequalities, the full nonlinear runs against
+Gauss-Legendre quadrature of the exponential kernel, the step's
+propagator E, grad-resolvent rows and flux weights against
+operator-norm inequalities, the full nonlinear runs against
 comparison bounds and measured front kinematics, and finally every
 checker against corrupted inputs that it must reject.
 """
@@ -35,7 +36,6 @@ from .icfactory import band_limited_noise
 from .params import Params
 from .reference import classify, upper_envelope
 from .scenario import bundled_scenario_names, bundled_scenario_path, load_scenario, scenario_from_dict
-from .semigroup import apply_T, apply_T_div
 from .stepper import StepControl, _plan, initial_state, step
 
 __all__ = ["CriterionResult", "CRITERIA", "run_one", "run_all", "bundled_report"]
@@ -153,6 +153,11 @@ def crit_elliptic_exactness():
 
 @criterion(budget=30.0)
 def crit_operator_bounds():
+    # the multipliers a step makes at dt = t and chi = 1: E is T(t) =
+    # e^(-t) (heat semigroup at t), synth[1:] the masked grad resolvent
+    # and weights[1:] the masked i k of the flux divergence.  The fields
+    # keep modes <= n/6, where the 2/3 mask is 1, so the bounds of the
+    # unmasked operators hold.
     rng = np.random.default_rng(2024)
     times = (0.01, 0.1, 1.0, 5.0)
     slack = 1.05
@@ -161,25 +166,28 @@ def crit_operator_bounds():
     worst_contraction = worst_grad = worst_div = 0.0
     for dim, n, L, count in ((1, 512, 10.0, 70), (2, 96, 5.0, 40)):
         g = make_grid(dim, n, L)
+        plans = [_plan(g, t, 1.0, 1.0) for t in times]
+        synth = plans[0].synth[1:]
         div_const = dim / math.sqrt(math.pi)
+        decay = np.array([math.exp(-t) for t in times])
+        bounds = np.array([div_const * t**-0.5 * math.exp(-t) for t in times])
         for _ in range(count):
             n_fields += 1
-            f = Field(g, band_limited_noise(g, rng, band=n // 6))
-            fmax = float(np.max(np.abs(f.values)))
-            gp = grad_potential(f)
-            gmag = np.sqrt(sum(c.values**2 for c in gp)).max()
+            f = band_limited_noise(g, rng, band=n // 6)
+            fmax = float(np.max(np.abs(f)))
+            fh = g.rfft(f)
+            gmag = np.sqrt(np.sum(g.irfft(synth * fh) ** 2, axis=0)).max()
             worst_grad = max(worst_grad, float(gmag) / (math.sqrt(dim) * fmax))
-            w = tuple(
-                Field(g, band_limited_noise(g, rng, band=n // 6)) for _ in range(dim)
-            )
-            wmax = float(np.sqrt(sum(c.values**2 for c in w)).max())
-            for t in times:
-                tf = apply_T(t, f)
-                ratio = float(np.max(np.abs(tf.values))) / (math.exp(-t) * fmax)
-                worst_contraction = max(worst_contraction, ratio)
-                td = apply_T_div(t, w)
-                bound = div_const * t**-0.5 * math.exp(-t) * wmax
-                worst_div = max(worst_div, float(np.max(np.abs(td.values))) / bound)
+            w = np.stack([band_limited_noise(g, rng, band=n // 6) for _ in range(dim)])
+            wmax = float(np.sqrt(np.sum(w**2, axis=0)).max())
+            wh = g.rfft(w)
+            # rows T(t) f and T(t) div w for each t, in one inverse transform
+            rows = g.irfft(np.stack([
+                row for p in plans for row in (p.E * fh, p.E * np.sum(p.weights[1:] * wh, axis=0))
+            ]))
+            tops = np.max(np.abs(rows.reshape(len(times), 2, -1)), axis=2)
+            worst_contraction = max(worst_contraction, float((tops[:, 0] / (decay * fmax)).max()))
+            worst_div = max(worst_div, float((tops[:, 1] / (bounds * wmax)).max()))
     passed = (
         worst_contraction <= rounding
         and worst_grad <= rounding

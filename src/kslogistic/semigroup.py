@@ -10,6 +10,11 @@ exp(-t * (1 + |k|^2)).  Facts the tests lean on:
 * smoothing of divergences: ||T(t) div w||_inf is bounded by
   (dim / sqrt(pi)) * t^(-1/2) * e^(-t) * max_x |w(x)|, the per-axis
   L1 norm of the differentiated kernel summed over components.
+
+No code in the package calls this module: runs step with the
+stepper's plan, whose propagator the acceptance gate checks against
+these bounds directly.  It stays for the benchmark's tracer tests,
+which import it.
 """
 
 from __future__ import annotations

@@ -6,11 +6,13 @@ the failure report otherwise) and asserts the verdict.  Criteria share
 the module-level report cache inside kslogistic.acceptance, so the
 seven bundled runs are computed once for the whole gate.  The last
 tests check that elliptic_exactness reads a solve in every dimension
-and the gradient resolvent that F uses.
+and the gradient resolvent that F uses, and that operator_bounds reads
+the propagator and flux weights of the step's own plan.
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from kslogistic import acceptance, grid, stepper
@@ -57,3 +59,21 @@ def test_elliptic_exactness_sees_a_corrupted_gradient_resolvent(monkeypatch):
         stepper._plan.cache_clear()
     passed, detail = acceptance.crit_elliptic_exactness()
     assert passed, detail
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # the propagator without its e^(-t): contraction ratio 14.46,
+        # divergence ratio 13.2
+        lambda g, dt, plan: plan._replace(E=np.exp(-dt * g.half.k2).astype(complex)),
+        # the flux weights doubled: divergence ratio 1.128 > 1.05
+        lambda g, dt, plan: plan._replace(weights=2.0 * plan.weights),
+    ],
+    ids=["E_without_decay", "weights_doubled"],
+)
+def test_operator_bounds_reads_the_step_plan(monkeypatch, corrupt):
+    exact = stepper._plan
+    monkeypatch.setattr(acceptance, "_plan", lambda g, dt, b, chi: corrupt(g, dt, exact(g, dt, b, chi)))
+    passed, detail = acceptance.crit_operator_bounds()
+    assert not passed, detail

@@ -11,9 +11,13 @@ rejected intervals and dt changes of its step-size ladder.  fisher_1d's
 and spreading_1d's entries alone were regenerated again when the bump
 initial data took a C^inf shoulder and both runs moved to the box
 (L, n) = (100, 2048): the smaller spectral tail of u0 moved their speed
-fits and margins.  The reports come from
+fits and margins.  stability_1d's and mass_decay_1d's entries alone
+were regenerated when both scenarios took a time_tol: their events now
+list the dt changes of the ladder, and their margins moved by under
+1e-14 (stability_1d's equilibrium margin reads the rounding floor of
+its distance to a/b at t_end).  The reports come from
 ``acceptance.bundled_report``, the cache the acceptance gate shares, so
-the snapshot test adds no runs to the suite.
+the snapshot test and the time_tol test add no runs to the suite.
 test_front_box_is_wide_enough runs the two front scenarios itself, on
 their bundled box and on one twice as wide.
 
@@ -39,7 +43,12 @@ import pytest
 
 from kslogistic.acceptance import bundled_report
 from kslogistic.harness import run
-from kslogistic.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
+from kslogistic.scenario import (
+    bundled_scenario_names,
+    bundled_scenario_path,
+    load_scenario,
+    scenario_from_dict,
+)
 
 SNAPSHOT = Path(__file__).parent / "data" / "bundled_behaviour.json"
 REL = 1e-9
@@ -99,9 +108,24 @@ def test_bundled_behaviour_matches_snapshot(name):
 
 
 def test_snapshot_covers_every_bundled_scenario():
-    from kslogistic.scenario import bundled_scenario_names
-
     assert sorted(EXPECTED) == bundled_scenario_names()
+
+
+TOLERANT = [
+    name for name in bundled_scenario_names()
+    if load_scenario(bundled_scenario_path(name)).control.time_tol is not None
+]
+
+
+@pytest.mark.parametrize("name", TOLERANT)
+def test_time_error_stays_within_time_tol(name):
+    """A scenario that states time_tol keeps the estimate of every
+    sample after t = 0 within it."""
+    report = bundled_report(name)
+    tol = report.scenario.control.time_tol
+    errors = report.series["time_error"][1:]
+    assert len(errors) == len(report.times) - 1
+    assert all(e <= tol for e in errors), max(errors)
 
 
 def _run_on_box(name: str, scale: int):
