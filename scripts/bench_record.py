@@ -10,9 +10,12 @@ in PARENT_DIR, the change's in CHANGE_DIR.  The two runs of one seed
 make a pair.  Per workload the file holds the paired seeds, each
 side's median and quartiles of every end-to-end metric that
 BENCHMARK.json declares, the pairs the change won (better by the
-metric's direction; ties count for neither side), the host facts of
-the records and both revisions.  A record of a seed that the other
-side lacks is an error: a record without its pair cannot be compared.
+metric's direction; ties count for neither side), each side's
+operations attempted and failed, summed over its records, the host
+facts of the records and both revisions.  A record of a seed that the
+other side lacks is an error: a record without its pair cannot be
+compared.  So is a record whose run did not hold its checks
+(``"correct": false``): its timings measure a wrong result.
 
 Run each side from a clean checkout, so that no stale bytecode of the
 other side is imported.
@@ -52,11 +55,17 @@ def fold(parent: dict, change: dict, metrics: list, parent_rev: str, change_rev:
     unpaired = sorted(set(parent) ^ set(change))
     if unpaired:
         raise ValueError(f"records without a pair (workload, seed): {unpaired}")
+    for side, records in (("parent", parent), ("change", change)):
+        wrong = sorted(key for key, rec in records.items() if not rec["correct"])
+        if wrong:
+            raise ValueError(f"{side} records with correct false (workload, seed): {wrong}")
     workloads = {}
     for name in sorted({w for w, _ in parent}):
         seeds = sorted(s for w, s in parent if w == name)
         sides = {"parent": [parent[name, s] for s in seeds], "change": [change[name, s] for s in seeds]}
         entry = {"seeds": seeds}
+        for count in ("attempted", "failed"):
+            entry[count] = {side: sum(r[count] for r in recs) for side, recs in sides.items()}
         for m in metrics:
             values = {side: [r["metrics"][m["name"]]["value"] for r in recs] for side, recs in sides.items()}
             sign = 1 if m["better"] == "lower" else -1

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .checks import CHECKS
-from .diagnostics import cstar_functional, equilibrium_distance, estimate_speed
+from .diagnostics import equilibrium_distance, estimate_speed
 from .grid import Field, make_grid
 from .harness import Report, _pool_size, run, run_many, usable_cpus
 from .helmholtz import grad_potential, solve
@@ -466,16 +466,16 @@ def crit_mutation_sanity():
     except ValueError:
         record("invalid_trace", True)
 
-    # v above a / chi must make the far-field floor undefined; v is
-    # uniform, so grad v is zero
-    p = Params(chi=0.5, a=1.0, b=1.0, dim=1)
-    v_big = Field(g, np.full(g.shape, 2.5))
-    scan = cstar_functional(u, v_big, p, inner_radius=2.0, grad_v=(Field(g, np.zeros(g.shape)),))
-    record("cstar_positive", not scan.all_defined or scan.speed_min <= 0)
+    # v above a / chi at the last sample, the one scanned, must make the
+    # far-field floor undefined
+    front = {"front_radius": [2.0] * len(t), "front_valid": [True] * len(t)}
+    v_big = Field(g, np.full(g.shape, 4.0))
+    record("cstar_positive", unit_passes("cstar_positive", front, states=[(u, v)] * 3)
+           and not unit_passes("cstar_positive", front, states=[(u, v), (u, v), (u, v_big)]))
 
     # a state far from a / b must fail the equilibrium tolerance
     u_off = Field(g, np.full(g.shape, 2.0))
-    du, dv = equilibrium_distance(u_off, u_off, p)
+    du, dv = equilibrium_distance(u_off, u_off, pd)
     record("equilibrium", du + dv > 1e-3)
 
     passed = not missed

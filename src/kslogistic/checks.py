@@ -5,8 +5,8 @@ REQUIRED), an optional ``observe(t, u, v, run)`` that the harness calls
 once per sample, and a ``verdict(run)``.  The harness makes one
 instance per configured check and run, so a check's state lives exactly
 as long as the run it watches.  ``run`` is the run's ``harness.Report``,
-filled as the run goes: the base series, the last far-field scan, the
-events, the abort and, after the last sample, the speed fit.
+filled as the run goes: the base series, the events, the abort and,
+after the last sample, the speed fit.
 
 A verdict is a ``diagnostics.CheckVerdict``, the type the rules there
 return too.  It carries two flags: passed is the measurement outcome,
@@ -26,10 +26,12 @@ from .diagnostics import (
     CheckVerdict,
     boundary_guard,
     check_lr_growth,
+    cstar_functional,
     lp_norm,
     sandwich_check,
 )
 from .reference import upper_envelope
+from .stepper import State
 
 if TYPE_CHECKING:
     from .harness import Report
@@ -217,24 +219,39 @@ class Equilibrium(Check):
 
 
 class CstarPositive(Check):
-    """Reads the harness's last far-field scan of the speed floor.
+    """The speed floor 2 sqrt(a - chi v) - chi |grad v| over |x| >=
+    inner_factor front radii, scanned once, at the last sample where
+    a > 0 and the front is nonempty, inside the guard radius, and leaves
+    grid points that far out.
 
-    A consistency check that cannot fail: the scan covers |x| >= 1.5
-    front radii, where v is about 0, so the floor reads 2 sqrt(a).  Even
-    its minimum over the whole box, the wake value 2 sqrt(a - chi a/b),
-    is positive whenever chi < b.  A falsifiable check needs the
-    log-corrected front speed against the floor."""
+    A consistency check that cannot fail: there v is about 0, so the
+    floor reads 2 sqrt(a).  Even its minimum over the whole box, the
+    wake value 2 sqrt(a - chi a/b), is positive whenever chi < b.  A
+    falsifiable check needs the log-corrected front speed against the
+    floor."""
 
     name = "cstar_positive"
+    inner_factor = 1.5
+    kept: Optional[tuple] = None
+
+    def observe(self, t, u, v, run):
+        # at a = 0 the floor is defined only where rounding leaves v <= 0,
+        # so there is nothing to scan
+        if run.params.a <= 0.0 or not run.series["front_valid"][-1]:
+            return
+        inner = self.inner_factor * run.series["front_radius"][-1]
+        if inner > 0.0 and (u.grid.radius >= inner).any():
+            self.kept = (t, u, v, inner)
 
     def verdict(self, run):
         spreading = run.regime.spreading
-        if run.scan is None:
+        if self.kept is None:
             why = "a = 0" if run.params.a == 0.0 else "front empty or beyond guard"
             return CheckVerdict(
                 self.name, False, spreading, math.nan, f"no usable far-field scan ({why})",
             )
-        t_scan, scan = run.scan
+        t_scan, u, v, inner = self.kept
+        scan = cstar_functional(u, v, run.params, inner, State(0.0, u).grad_v)
         return CheckVerdict(
             self.name,
             scan.all_defined and scan.speed_min > 0.0 and scan.positivity_min > 0.0,

@@ -4,10 +4,10 @@ A run turns one Scenario into one Report, the one record of that run:
 ``run`` creates it before the first sample, the check units observe it
 and take their verdicts from it, and ``run`` returns that same object.
 The report carries the scenario, the parameter-regime classification,
-fixed time series (mass, l2, linf, front radius and validity, distance
-from the uniform state, minimum of u, far-field speed floor, and the
-stepper's local time error estimate, NaN where the interval before a
-sample made no Adams-Bashforth step, as at t = 0), events,
+the base time series (mass, l2, linf, front radius and validity,
+distance from the uniform state, minimum of u, and the stepper's local
+time error estimate, NaN where the interval before a sample made no
+Adams-Bashforth step, as at t = 0) and any a check adds, events,
 check verdicts, and an optional front-speed fit.  Reports are
 deterministic: two runs of the same scenario agree bit for bit except
 for wall_time.  The checks themselves live in ``checks``; a run is ok
@@ -33,13 +33,7 @@ import numpy as np
 
 from . import __version__
 from .checks import CHECKS
-from .diagnostics import (
-    cstar_functional,
-    equilibrium_distance,
-    estimate_speed,
-    front_radius,
-    lp_norm,
-)
+from .diagnostics import equilibrium_distance, estimate_speed, front_radius, lp_norm
 from .icfactory import realize
 from .reference import RegimeReport, classify, cstar_lower_bound_formula
 from .scenario import Scenario, ScenarioError, front_level_of, with_value
@@ -63,9 +57,7 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
-#: the far-field scan covers |x| >= this many front radii
-_CSTAR_INNER_FACTOR = 1.5
-
+#: series.csv's first columns; a check may add series after them
 CSV_COLUMNS = (
     "t",
     "mass",
@@ -76,7 +68,6 @@ CSV_COLUMNS = (
     "dist_u_ab",
     "dist_v_ab",
     "min_u",
-    "cstar_min",
     "time_error",
 )
 
@@ -101,9 +92,8 @@ class HarnessError(RuntimeError):
 @dataclass
 class Report:
     """What a run has measured.  series maps a column name to one value
-    per sample.  scan, (t, CstarScan) of the last usable far-field scan,
-    and speed_error, why there is no speed fit, are for the checks and
-    are not written out."""
+    per sample.  speed_error, why there is no speed fit, is for the
+    checks and is not written out."""
 
     scenario: Scenario
     regime: RegimeReport
@@ -117,7 +107,6 @@ class Report:
     snapshots: list = field(default_factory=list)
     wall_time: float = 0.0
     version: str = __version__
-    scan: Optional[tuple] = None
     speed_error: Optional[str] = None
     _snapshot_reprs: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
@@ -253,20 +242,6 @@ def run(scenario: Scenario) -> Report:
             du, dv = equilibrium_distance(u, v, p)
             cols["dist_u_ab"].append(du)
             cols["dist_v_ab"].append(dv)
-
-            cstar_val = math.nan
-            # at a = 0 the floor 2 sqrt(a - chi v) - chi |grad v| is defined
-            # only where rounding leaves v <= 0, so there is nothing to scan
-            if valid and radius > 0.0 and p.a > 0.0:
-                try:
-                    scan = cstar_functional(u, v, p, _CSTAR_INNER_FACTOR * radius, state.grad_v)
-                except ValueError:
-                    scan = None
-                if scan is not None:
-                    rep.scan = (t, scan)
-                    if math.isfinite(scan.speed_min):
-                        cstar_val = scan.speed_min
-            cols["cstar_min"].append(cstar_val)
             cols["time_error"].append(math.nan if state.time_error is None else state.time_error)
 
             for check in checks:
@@ -310,10 +285,11 @@ def _fmt(x) -> str:
 
 
 def write_series_csv(report: Report, path) -> None:
+    """One row per sample: t, then every series, a check's own after the base ones."""
     path = Path(path)
-    lines = [",".join(CSV_COLUMNS)]
+    lines = [",".join(["t", *report.series])]
     for i, t in enumerate(report.times):
-        lines.append(",".join([_fmt(float(t))] + [_fmt(report.series[name][i]) for name in CSV_COLUMNS[1:]]))
+        lines.append(",".join([_fmt(float(t))] + [_fmt(col[i]) for col in report.series.values()]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -371,7 +347,7 @@ def emit_plot_data(report: Report, plots_dir) -> dict:
         "dim": dim,
         "series_files": series_files,
         "snapshot_files": snapshot_files,
-        "csv_columns": list(CSV_COLUMNS),
+        "csv_columns": ["t", *report.series],
     }
     (plots_dir / "manifest.json").write_text(json.dumps(_jsonable(manifest), indent=2) + "\n")
     return manifest

@@ -14,10 +14,13 @@ _spec.loader.exec_module(bench_record)
 HOST = {"nproc": 2, "usable_cpus": 2, "python": "3.11.7"}
 
 
-def _write(directory: Path, workload: str, seed: int, wall: float, setup: float) -> None:
+def _write(directory: Path, workload: str, seed: int, wall: float, setup: float,
+           failed: int = 0, correct: bool = True) -> None:
     directory.mkdir(exist_ok=True)
     record = {
-        "correct": True,
+        "correct": correct,
+        "attempted": 11,
+        "failed": failed,
         "workload": workload,
         "seed": seed,
         "metrics": {"wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": setup, "unit": "s"}},
@@ -31,7 +34,7 @@ def test_folds_paired_records_per_workload(tmp_path):
     walls = {1: (0.70, 0.60), 2: (0.80, 0.65), 3: (0.75, 0.75), 4: (0.60, 0.70), 5: (0.90, 0.62)}
     for seed, (p, c) in walls.items():
         _write(parent, "gate", seed, p, 0.2)
-        _write(change, "gate", seed, c, 0.2 - 0.001 * seed)
+        _write(change, "gate", seed, c, 0.2 - 0.001 * seed, failed=seed % 2)
     # a traced record is not an end-to-end one and is ignored
     (change / "gate_seed9_trace1.json").write_text("{}")
     argv = [str(parent), str(change), "--parent-rev", "aaa", "--change-rev", "bbb", "--out", str(out)]
@@ -48,6 +51,8 @@ def test_folds_paired_records_per_workload(tmp_path):
     assert (wall["unit"], wall["better"]) == ("s", "lower")
     assert gate["setup_s"]["change_won"] == 5
     assert gate["hosts"] == [HOST]
+    assert gate["attempted"] == {"parent": 55, "change": 55}
+    assert gate["failed"] == {"parent": 0, "change": 3}
 
 
 def test_a_record_without_its_pair_is_refused(tmp_path, capsys):
@@ -59,3 +64,16 @@ def test_a_record_without_its_pair_is_refused(tmp_path, capsys):
     assert bench_record.main(argv) == 2
     assert "('gate', 2)" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_record_that_is_not_correct_is_refused(tmp_path, capsys, side):
+    dirs = {name: tmp_path / name for name in ("parent", "change")}
+    for name, directory in dirs.items():
+        _write(directory, "gate", 1, 0.7, 0.2)
+        _write(directory, "gate", 2, 0.7, 0.2, correct=name != side)
+    out = tmp_path / "o.json"
+    argv = [str(dirs["parent"]), str(dirs["change"]), "--parent-rev", "a", "--change-rev", "b", "--out", str(out)]
+    assert bench_record.main(argv) == 2
+    assert f"{side} records with correct false (workload, seed): [('gate', 2)]" in capsys.readouterr().err
+    assert not out.exists()

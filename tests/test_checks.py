@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
+from kslogistic import checks
 from kslogistic.checks import CHECKS
 from kslogistic.diagnostics import boundary_guard, lp_norm, sandwich_check
 from kslogistic.grid import Field, make_grid
-from kslogistic.harness import Report
+from kslogistic.harness import Report, run
 from kslogistic.helmholtz import solve
 from kslogistic.reference import classify
-from kslogistic.scenario import scenario_from_dict
+from kslogistic.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -86,3 +87,18 @@ def test_per_sample_unit_keeps_smallest_margin_sample():
     worst = sandwich_check(U, lifted[1])
     assert worst.margin < 0
     assert verdict == replace(worst, detail=f"worst t=0.2: {worst.detail}")
+
+
+def test_cstar_positive_scans_spreading_1d_once_at_its_last_sample(monkeypatch):
+    calls, scan = [], checks.cstar_functional
+
+    def spy(u, v, p, inner_radius, grad_v):
+        calls.append(inner_radius)
+        return scan(u, v, p, inner_radius, grad_v)
+
+    monkeypatch.setattr(checks, "cstar_functional", spy)
+    rep = run(load_scenario(bundled_scenario_path("spreading_1d")))
+    assert calls == [1.5 * rep.series["front_radius"][-1]]
+    assert rep.times[-1] == 19.0 and rep.series["front_valid"][-1]
+    (verdict,) = [v for v in rep.checks if v.name == "cstar_positive"]
+    assert verdict.passed and verdict.detail.startswith("t=19: ")

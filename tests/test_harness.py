@@ -421,13 +421,12 @@ class TestRun:
         rep = run(tiny())
         assert len(seen) == 7 and all(r is rep for r in seen)
 
-    def test_scan_and_speed_error_are_not_written_out(self):
-        # tiny's front fits in the box, so it is scanned; 6 samples are
-        # too few for a speed fit
+    def test_speed_error_is_not_written_out(self):
+        # 6 samples are too few for a speed fit
         rep = run(tiny(checks={"cstar_positive": {}}))
-        assert rep.scan is not None and rep.speed is None and rep.speed_error
+        assert rep.speed is None and rep.speed_error
         text = rep.to_json()
-        assert '"scan"' not in text and '"speed_error"' not in text
+        assert '"speed_error"' not in text
         assert set(json.loads(text)) == {
             "version", "scenario", "regime", "cstar_floor", "ok", "abort", "speed",
             "checks", "events", "times", "series", "snapshots", "wall_time",
@@ -459,29 +458,30 @@ class TestRun:
 
     def test_no_cstar_scan_at_a_zero(self):
         # at a = 0 the floor 2 sqrt(a - chi v) - chi |grad v| is defined
-        # only where rounding leaves v <= 0: no sample scans, at a > 0
-        # the same run does
-        def scanned(a):
+        # only where rounding leaves v <= 0: no sample is scanned, at
+        # a > 0 the same run scans its last sample
+        def verdict(a):
             sc = tiny(
                 params={"a": a},
                 diagnostics={"front_level": 0.25},
                 checks={"cstar_positive": {}},
             )
-            rep = run(sc)
-            (verdict,) = [v for v in rep.checks if v.name == "cstar_positive"]
-            return [not math.isnan(c) for c in rep.series["cstar_min"]], verdict
+            (res,) = [v for v in run(sc).checks if v.name == "cstar_positive"]
+            return res
 
-        none, verdict = scanned(0.0)
-        assert not any(none) and len(none) == 6
-        assert verdict.detail == "no usable far-field scan (a = 0)"
-        assert all(scanned(1.0)[0])
+        none = verdict(0.0)
+        assert not none.passed and math.isnan(none.margin)
+        assert none.detail == "no usable far-field scan (a = 0)"
+        scanned = verdict(1.0)
+        assert scanned.passed and scanned.detail.startswith("t=0.5: floor min ")
 
-    def test_bundled_a_zero_run_has_no_cstar_samples(self):
-        from kslogistic.acceptance import bundled_report
+    def test_a_run_without_cstar_positive_never_forms_grad_v(self, monkeypatch):
+        def refuse(state):
+            raise AssertionError("grad v formed")
 
-        rep = bundled_report("mass_decay_1d")
-        assert len(rep.times) == 51
-        assert all(math.isnan(c) for c in rep.series["cstar_min"])
+        monkeypatch.setattr(stepper.State, "grad_v", property(refuse))
+        rep = run(tiny())
+        assert rep.abort is None and rep.ok and len(rep.times) == 6
 
     def test_blowup_abort_is_recorded_not_raised(self):
         sc = tiny(control={"dt": 0.01, "t_end": 0.5, "blowup_threshold": 1.0})
@@ -613,6 +613,18 @@ class TestOutputs:
         row = dict(zip(CSV_COLUMNS, first.split(",")))
         assert float(row["t"]) == 0.0
         assert float(row["mass"]) == pytest.approx(rep.series["mass"][0])
+
+    def test_series_a_check_adds_reach_series_csv(self, tmp_path):
+        # mass_growth at r = 3 has no base column, so it adds l3
+        rep, paths = run_experiment(tiny(checks={"mass_growth": {"r": 3}}), outdir=tmp_path)
+        columns = [*CSV_COLUMNS, "l3"]
+        with paths["series"].open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == columns
+        assert [float(row[-1]) for row in rows[1:]] == rep.series["l3"]
+        manifest = json.loads((paths["plots"] / "manifest.json").read_text())
+        assert manifest["csv_columns"] == columns
+        assert "l3" in manifest["series_files"]
 
     def test_overwrite_needs_force(self, tmp_path):
         run_experiment(tiny(), outdir=tmp_path)
