@@ -9,6 +9,17 @@ runs its criteria read with run_many, on a process pool while the
 criteria that read none run, and a run no pool computes is run in
 process when first read.
 
+A criterion that reads a run restates no rule of its check units:
+envelope_run, stability_run, fisher_speed and spreading_run pass only
+if the run is ok and the verdicts they name are present, passed and
+asserted.  A criterion keeps a rule of its own only where no unit
+states it.  envelope_run and fisher_speed pin the setup they certify,
+envelope_1d's envelope tol and fisher_1d's speed band among it, since a
+unit passes whatever its file configures; stability_run asks for a
+strict fall of the distance to a/b since t = 10, which the unit's trend
+does not; mass_bounds asks for nonincreasing mass at a = 0, and
+l2_growth for L^2 growth, which no unit checks.
+
 The checks deliberately cross-validate along independent routes: the
 elliptic solve against closed-form eigenfunctions and against
 Gauss-Legendre quadrature of the exponential kernel, the step's
@@ -28,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .checks import CHECKS
-from .diagnostics import equilibrium_distance, estimate_speed
+from .diagnostics import estimate_speed
 from .grid import Field, make_grid
 from .harness import Report, _pool_size, run, run_many, usable_cpus
 from .helmholtz import grad_potential, solve
@@ -90,6 +101,29 @@ def criterion(budget=None, reads=()):
 
 def _verdict(report, check_name: str):
     return next((v for v in report.checks if v.name == check_name), None)
+
+
+def _failed(reports, check_name: str) -> list:
+    """The runs that aborted or whose check_name verdict is missing or failed."""
+    verdicts = [(rep, _verdict(rep, check_name)) for rep in reports]
+    return [rep.scenario.name for rep, v in verdicts if rep.abort is not None or v is None or not v.passed]
+
+
+def _run_verdicts(rep, *names):
+    """(passed, detail) of a run read through its verdicts of the checks
+    names: passed if the run is ok and each is present, passed and
+    asserted."""
+    passed = rep.ok
+    parts = [] if rep.ok else [f"RUN NOT OK, abort {rep.abort and rep.abort['kind']}"]
+    for name in names:
+        v = _verdict(rep, name)
+        passed = passed and v is not None and v.passed and v.asserted
+        parts.append(f"{name}: no verdict" if v is None else f"{name} margin {v.margin:.3g}, {v.detail}")
+    return passed, "; ".join(parts)
+
+
+#: the pulled-speed band fisher_speed pins fisher_1d's speed_range to
+_FISHER_BAND = {"min": 1.80, "max": 2.05}
 
 
 def _kernel_quadrature_error() -> float:
@@ -203,24 +237,11 @@ def crit_operator_bounds():
 
 @criterion(reads=ALL_RUNS)
 def crit_sandwich_all_runs(*reports):
-    worst = math.inf
-    worst_name = ""
-    passed = True
-    for rep in reports:
-        v = _verdict(rep, "sandwich")
-        if rep.abort is not None or v is None or not v.passed:
-            passed = False
-            worst_name = rep.scenario.name
-            break
-        if v.margin < worst:
-            worst, worst_name = v.margin, rep.scenario.name
-    detail = (
-        f"{len(reports)} runs, every sample; tightest margin "
-        f"{worst:.3e} ({worst_name})"
-        if passed
-        else f"violated or aborted in {worst_name}"
-    )
-    return passed, detail
+    bad = _failed(reports, "sandwich")
+    if bad:
+        return False, f"violated or aborted in {bad}"
+    margin, name = min((_verdict(rep, "sandwich").margin, rep.scenario.name) for rep in reports)
+    return True, f"{len(reports)} runs, every sample; tightest margin {margin:.3e} ({name})"
 
 
 @criterion(budget=60.0, reads=("envelope_1d",))
@@ -231,119 +252,49 @@ def crit_envelope_run(rep):
         and sc.grid.n == 1024
         and sc.ic.amplitude == 3.0
         and sc.control.t_end == 30.0
+        and sc.checks.get("envelope") == {"tol": 1e-6}
     )
-    v = _verdict(rep, "envelope")
-    final_sup = rep.series["linf"][-1]
-    # recheck the bound with an absolute budget, straight from the series
-    sup0 = rep.series["linf"][0]
-    deficit = max(
-        s - upper_envelope(t, sup0, p) for t, s in zip(rep.times, rep.series["linf"])
-    )
-    passed = (
-        setup_ok
-        and rep.abort is None
-        and v is not None
-        and v.passed
-        and deficit <= 1e-6
-        and final_sup <= 2.02
-    )
-    detail = (
-        f"sup_x u vs damped logistic envelope for t <= 30: worst excess "
-        f"{deficit:.2e} (budget 1e-6); sup u(30) = {final_sup:.6f} <= 2.02"
-    )
-    return passed, detail
+    passed, detail = _run_verdicts(rep, "envelope")
+    setup = "setup as pinned" if setup_ok else "SETUP CHANGED"
+    return setup_ok and passed, f"sup_x u for t <= 30, {setup}; {detail}"
 
 
 @criterion(reads=ALL_RUNS)
 def crit_mass_bounds(*reports):
-    passed = True
-    details = []
-    for rep in reports:
-        v = _verdict(rep, "mass_growth")
-        ok = rep.abort is None and v is not None and v.passed
-        passed &= ok
-        details.append(f"{rep.scenario.name} {'ok' if ok else 'VIOLATED'}")
+    bad = _failed(reports, "mass_growth")
     decay = next(rep for rep in reports if rep.scenario.name == "mass_decay_1d")
     mass = np.asarray(decay.series["mass"])
     rises = np.diff(mass) / mass[0]
-    monotone = bool(np.all(rises <= 1e-8))
-    passed &= monotone
     detail = (
-        f"mass <= mass(0) e^(a t) on {len(details)} runs; a = 0 variant "
-        f"nonincreasing within 1e-8 relative (max rise "
-        f"{float(rises.max()):.2e})"
+        f"mass <= mass(0) e^(a t) on {len(reports)} runs; a = 0 variant "
+        f"nonincreasing within 1e-8 relative (max rise {float(rises.max()):.2e})"
     )
-    if not passed:
-        detail += "; " + ", ".join(details)
-    return passed, detail
+    return not bad and bool(np.all(rises <= 1e-8)), detail + (f"; VIOLATED in {bad}" if bad else "")
 
 
 @criterion(budget=60.0, reads=("stability_1d",))
 def crit_stability_run(rep):
-    v = _verdict(rep, "equilibrium")
+    # stricter than the unit's trend, which starts at t_end / 4 and
+    # forgives a run already a decade under its tolerance
     dist = np.asarray(rep.series["dist_u_ab"]) + np.asarray(rep.series["dist_v_ab"])
-    final = float(dist[-1])
     i10 = int(np.argmin(np.abs(np.asarray(rep.times) - 10.0)))
-    trend = final < float(dist[i10])
-    passed = (
-        rep.abort is None
-        and v is not None
-        and v.passed
-        and v.asserted
-        and final <= 1e-3
-        and trend
-    )
-    detail = (
-        f"dist(u) + dist(v) = {final:.2e} at t = 40 (tol 1e-3), down from "
-        f"{float(dist[i10]):.2e} at t = 10"
-    )
-    return passed, detail
+    passed, detail = _run_verdicts(rep, "equilibrium")
+    falls = bool(dist[-1] < dist[i10])
+    return passed and falls, f"{detail}; down from {dist[i10]:.2e} at t = 10"
 
 
 @criterion(budget=120.0, reads=("fisher_1d",))
 def crit_fisher_speed(rep):
-    v = _verdict(rep, "speed_range")
-    s = rep.speed
-    passed = (
-        rep.abort is None
-        and s is not None
-        and 1.80 <= s["speed"] <= 2.05
-        and v is not None
-        and v.passed
-    )
-    detail = (
-        "no speed estimate"
-        if s is None
-        else (
-            f"front speed {s['speed']:.4f} +/- {s['stderr']:.4f} in "
-            f"[1.80, 2.05], fit over t in [{s['window'][0]:g}, "
-            f"{s['window'][1]:g}] ({s['n_samples']} samples)"
-        )
-    )
-    return passed, detail
+    band = rep.scenario.checks.get("speed_range")
+    pinned = band == _FISHER_BAND
+    passed, detail = _run_verdicts(rep, "speed_range")
+    band_detail = "band as pinned" if pinned else f"BAND {band} NOT {_FISHER_BAND}"
+    return passed and pinned, f"{band_detail}; {detail}"
 
 
 @criterion(budget=120.0, reads=("spreading_1d",))
 def crit_spreading_run(rep):
-    s = rep.speed
-    v_lim = _verdict(rep, "spreading_limits")
-    v_cst = _verdict(rep, "cstar_positive")
-    passed = (
-        rep.abort is None
-        and s is not None
-        and math.isfinite(s["speed"])
-        and s["speed"] > 0
-        and v_lim is not None
-        and v_lim.passed
-        and v_cst is not None
-        and v_cst.passed
-    )
-    detail = (
-        "missing pieces"
-        if not passed and (s is None or v_lim is None or v_cst is None)
-        else f"c = {s['speed']:.4f}; {v_lim.detail}; floor scan: {v_cst.detail}"
-    )
-    return passed, detail
+    return _run_verdicts(rep, "spreading_limits", "cstar_positive")
 
 
 @criterion(reads=("spreading_1d",))
@@ -389,8 +340,7 @@ def crit_mutation_sanity():
     x = g.axes[0]
     u = Field(g, np.exp(-(x**2) / 4.0))
     v = solve(u)
-    caught = []
-    missed = []
+    caught, missed = [], []
 
     def record(label, was_caught):
         (caught if was_caught else missed).append(label)
@@ -411,15 +361,17 @@ def crit_mutation_sanity():
     rep = run(doomed)
     record("abort_detection", rep.abort is not None and not rep.ok)
 
-    # The check units that reports carry, with their default parameters,
-    # fed as a run of doomed feeds them: (u, v) per sample to observe,
-    # then the base series to verdict.  Each must pass clean input and
-    # fail corrupted input.
+    # The check units that reports carry, with their default parameters
+    # unless cfg is given, fed as a run of doomed feeds them: (u, v) per
+    # sample to observe, then the base series and the speed fit to
+    # verdict.  Each must pass clean input and fail corrupted input.
     t, pd = np.linspace(0.0, 2.0, 21), doomed.params
 
-    def unit_passes(name, series=None, states=()):
+    def unit_passes(name, series=None, states=(), cfg=None, fit=None):
         rep = Report(doomed, classify(pd), dict(series or {}), list(t))
-        unit = CHECKS[name](dict(CHECKS[name].schema))
+        if fit is not None:
+            rep.speed = {"speed": fit.speed, "stderr": fit.stderr}
+        unit = CHECKS[name](dict(CHECKS[name].schema if cfg is None else cfg))
         for s, (us, vs) in zip(t, states):
             unit.observe(s, us, vs, rep)
         return unit.verdict(rep).passed
@@ -437,27 +389,23 @@ def crit_mutation_sanity():
     # a series over its bound by 0.9 of the check's slack must pass and
     # by 1.1 of it must fail, so the slack can be neither widened nor
     # narrowed: for mass_growth the slack is tol relative to mass(0)
-    # e^(a t), for the envelope tol * (1 + m0)
-    m0, tol = 3.0, CHECKS["mass_growth"].schema["tol"]
+    # e^(a t), for the envelope tol absolute
+    m0 = 3.0
+    over = {
+        "mass_growth": ("mass", lambda s, tol: m0 * math.exp(pd.a * s) * (1.0 + tol)),
+        "envelope": ("linf", lambda s, tol: upper_envelope(s, m0, pd) + tol),
+    }
+    for name, (column, bound) in over.items():
+        tol = CHECKS[name].schema["tol"]
+        passes = [unit_passes(name, {column: [m0] + [bound(s, e * tol) for s in t[1:]]}) for e in (0.9, 1.1)]
+        record(name, passes == [True, False])
 
-    def mass_passes(excess):
-        mass = [m0] + [m0 * math.exp(pd.a * s) * (1.0 + excess * tol) for s in t[1:]]
-        return unit_passes("mass_growth", {"mass": mass})
-
-    record("mass_growth", mass_passes(0.9) and not mass_passes(1.1))
-
-    tol = CHECKS["envelope"].schema["tol"]
-
-    def envelope_passes(excess):
-        linf = [m0] + [upper_envelope(s, m0, pd) + excess * tol * (1.0 + m0) for s in t[1:]]
-        return unit_passes("envelope", {"linf": linf})
-
-    record("envelope", envelope_passes(0.9) and not envelope_passes(1.1))
-
-    # a stalled front must fall out of the admitted speed window
+    # fisher_1d's band must admit a front at the pulled speed 2 and
+    # refuse a stalled one
     tt = np.linspace(0.0, 10.0, 41)
-    est = estimate_speed(tt, 0.05 * tt, np.ones_like(tt, dtype=bool))
-    record("speed_range", not (1.80 <= est.speed <= 2.05))
+    fit = {c: estimate_speed(tt, c * tt, np.ones_like(tt, dtype=bool)) for c in (2.0, 0.05)}
+    record("speed_range", unit_passes("speed_range", cfg=_FISHER_BAND, fit=fit[2.0])
+           and not unit_passes("speed_range", cfg=_FISHER_BAND, fit=fit[0.05]))
 
     # a trace entirely beyond the guard must be refused outright
     try:
@@ -473,10 +421,29 @@ def crit_mutation_sanity():
     record("cstar_positive", unit_passes("cstar_positive", front, states=[(u, v)] * 3)
            and not unit_passes("cstar_positive", front, states=[(u, v), (u, v), (u, v_big)]))
 
-    # a state far from a / b must fail the equilibrium tolerance
-    u_off = Field(g, np.full(g.shape, 2.0))
-    du, dv = equilibrium_distance(u_off, u_off, pd)
-    record("equilibrium", du + dv > 1e-3)
+    # a distance to a / b that falls to 1e-6 must pass, one that stalls
+    # just over the tolerance 1e-3 must fail
+    def equilibrium_passes(dist):
+        series = {"dist_u_ab": dist, "dist_v_ab": 0.0 * t, "min_u": [1.0] * len(t)}
+        return unit_passes("equilibrium", series)
+
+    record("equilibrium", equilibrium_passes(10.0 ** (-3.0 * t))
+           and not equilibrium_passes(10.0 ** (-3.0 * t) + 1e-3))
+
+    # a front at 2 t, a / b behind it and 0 ahead, must pass; the same
+    # front with 1e-3 left on |x| >= 1.5 c t, where u must stay under
+    # 1e-4, must fail
+    def spreading_passes(left):
+        r = np.abs(x)
+        states = [(Field(g, (r <= 2.0 * s) + left * (r >= 3.0 * s)), v) for s in t]
+        return unit_passes("spreading_limits", front, states, fit=fit[2.0])
+
+    record("spreading_limits", spreading_passes(0.0) and not spreading_passes(1e-3))
+
+    # a unit with no case above is a miss
+    for name in CHECKS:
+        if name not in caught + missed:
+            record(f"{name} (no case)", False)
 
     passed = not missed
     detail = f"{len(caught)}/{len(caught) + len(missed)} corruptions caught"

@@ -142,10 +142,8 @@ class Envelope(Check):
                 "not evaluated: the comparison envelope needs chi <= b",
             )
         t_arr, linf = np.asarray(run.times), run.series["linf"]
-        m0 = linf[0]
-        scale = 1.0 + m0
-        env = np.array([upper_envelope(t, m0, p) for t in t_arr])
-        slack = env + tol * scale - np.asarray(linf)
+        env = np.array([upper_envelope(t, linf[0], p) for t in t_arr])
+        slack = env + tol - np.asarray(linf)
         worst = int(np.argmin(slack))
         return CheckVerdict(
             self.name,
@@ -154,8 +152,7 @@ class Envelope(Check):
             slack[worst],
             (
                 f"worst at t={t_arr[worst]:.6g}: sup u = "
-                f"{linf[worst]:.9g} vs envelope {env[worst]:.9g} "
-                f"(+ {tol:g} * {scale:g})"
+                f"{linf[worst]:.9g} vs envelope {env[worst]:.9g} (+ {tol:g})"
             ),
         )
 

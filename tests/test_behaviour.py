@@ -15,7 +15,11 @@ fits and margins.  stability_1d's and mass_decay_1d's entries alone
 were regenerated when both scenarios took a time_tol: their events now
 list the dt changes of the ladder, and their margins moved by under
 1e-14 (stability_1d's equilibrium margin reads the rounding floor of
-its distance to a/b at t_end).  The reports come from
+its distance to a/b at t_end).  The envelope margins alone of
+envelope_1d, fisher_1d, mass_growth_1d and twod_smoke were regenerated
+when the envelope check's slack went from tol (1 + sup u0) to tol
+absolute: 4.0e-6, 1.99999e-6, 3.0e-6 and 3.0e-6 became 1.0e-6,
+0.99999e-6, 1.0e-6 and 1.0e-6.  The reports come from
 ``acceptance.bundled_report``, the cache the acceptance gate shares, so
 the snapshot test and the time_tol test add no runs to the suite.
 test_front_box_is_wide_enough runs the two front scenarios itself, on
