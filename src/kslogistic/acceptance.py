@@ -9,16 +9,14 @@ runs its criteria read with run_many, on a process pool while the
 criteria that read none run, and a run no pool computes is run in
 process when first read.
 
-A criterion that reads a run restates no rule of its check units:
-envelope_run, stability_run, fisher_speed and spreading_run pass only
-if the run is ok and the verdicts they name are present, passed and
-asserted.  A criterion keeps a rule of its own only where no unit
-states it.  envelope_run and fisher_speed pin the setup they certify,
-envelope_1d's envelope tol and fisher_1d's speed band among it, since a
-unit passes whatever its file configures; stability_run asks for a
-strict fall of the distance to a/b since t = 10, which the unit's trend
-does not; mass_bounds asks for nonincreasing mass at a = 0, and
-l2_growth for L^2 growth, which no unit checks.
+A run criterion restates no rule of its check units: envelope_run,
+stability_run, fisher_speed and spreading_run pass only if the run is
+ok and the verdicts they name are present, passed and asserted.  They
+keep only what no unit states: the setup that envelope_run and
+fisher_speed certify, envelope_1d's tol and fisher_1d's band among it
+(a unit passes whatever its file configures), and stability_run's
+strict fall since t = 10; mass_bounds' a = 0 monotonicity and
+l2_growth have no unit.
 
 The checks deliberately cross-validate along independent routes: the
 elliptic solve against closed-form eigenfunctions and against
@@ -340,7 +338,8 @@ def crit_mutation_sanity():
     x = g.axes[0]
     u = Field(g, np.exp(-(x**2) / 4.0))
     v = solve(u)
-    caught, missed = [], []
+    caught = []
+    missed = []
 
     def record(label, was_caught):
         (caught if was_caught else missed).append(label)
@@ -397,7 +396,8 @@ def crit_mutation_sanity():
     }
     for name, (column, bound) in over.items():
         tol = CHECKS[name].schema["tol"]
-        passes = [unit_passes(name, {column: [m0] + [bound(s, e * tol) for s in t[1:]]}) for e in (0.9, 1.1)]
+        passes = [unit_passes(name, {column: [m0] + [bound(s, e * tol) for s in t[1:]]})
+                  for e in (0.9, 1.1)]
         record(name, passes == [True, False])
 
     # fisher_1d's band must admit a front at the pulled speed 2 and
